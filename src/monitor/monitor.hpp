@@ -119,8 +119,8 @@ class HardwareMonitor {
     return step_list(hashed);
   }
 
-  /// Batch-granular feed: consume `n` precomputed hashes (one fused
-  /// run's or one trace's slice of a compiled hash lane) in order, with
+  /// Batch-granular feed: consume `n` precomputed hashes (one trace's
+  /// slice of a compiled hash lane) in order, with
   /// cumulative stats, peak-width tracking, and verdicts bit-identical
   /// to n successive on_hashed() calls. When `stop_on_mismatch` is set
   /// the walk stops at the first Mismatch and returns its index (the

@@ -343,8 +343,8 @@ std::string loop_forward_source() {
     move $t6, $zero
 copy:
     addu $t7, $s0, $t6        # tight loop: the backward bne is taken
-    lbu $t8, 0($t7)           # (len - 1) times per packet, so the trace
-    addu $t7, $s1, $t6        # tier unrolls it and side-exits exactly
+    lbu $t8, 0($t7)           # (len - 1) times per packet, so a trace
+    addu $t7, $s1, $t6        # unrolls it and side-exits exactly
     sb $t8, 0($t7)            # once, at loop exit
     addiu $t6, $t6, 1
     bne $t6, $s2, copy

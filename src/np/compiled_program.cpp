@@ -6,23 +6,6 @@
 
 namespace sdmmon::np {
 
-bool CompiledProgram::fusible_op(isa::Op op) {
-  // Block-body ops: ALU (including overflow-trapping Add/Addi/Sub),
-  // loads, and stores. The execute-first fused schedule handles their
-  // trap and MMIO cases by stopping the batch before the offending op,
-  // so unlike the original pure-run fusion nothing here needs to be
-  // trap-free. Excluded: control flow (ends the block) and
-  // Syscall/Break (Trap class -- also ends the block).
-  switch (isa::op_class(op)) {
-    case isa::OpClass::Alu:
-    case isa::OpClass::Load:
-    case isa::OpClass::Store:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
     const isa::Program& program, const monitor::InstructionHash& hash) {
   auto compiled = std::shared_ptr<CompiledProgram>(new CompiledProgram());
@@ -39,169 +22,93 @@ std::shared_ptr<const CompiledProgram> CompiledProgram::compile(
   compiled->num_blocks_ = blocks.leaders.size();
 
   const std::size_t n = program.text.size();
+  std::vector<bool> leader(n, false);
+  for (const std::uint32_t l : blocks.leaders) leader[l] = true;
   compiled->ops_.resize(n);
-  std::size_t next_leader = 1;  // leaders[0] == 0 whenever n > 0
+  compiled->hash_lane_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     PreOp& op = compiled->ops_[i];
     op.word = program.text[i];
     op.mhash = hash.hash(op.word);
-
-    bool block_end = i + 1 == n;
-    if (next_leader < blocks.leaders.size() &&
-        blocks.leaders[next_leader] == i + 1) {
-      block_end = true;
-      ++next_leader;
-    }
-
+    compiled->hash_lane_[i] = op.mhash;
     if (auto decoded = isa::try_decode(op.word)) {
       op.instr = *decoded;
       op.flags = kDecoded;
-      // Belt and braces: any op that can redirect or end control flow
-      // ends its block even if the leader list ever disagreed -- the
-      // superblock stepper's fall-through invariant must never break.
-      switch (isa::op_class(op.instr.op)) {
-        case isa::OpClass::Branch:
-        case isa::OpClass::Jump:
-        case isa::OpClass::JumpLink:
-        case isa::OpClass::JumpReg:
-        case isa::OpClass::Trap:
-          block_end = true;
-          break;
-        default:
-          break;
-      }
-    } else {
-      op.flags = 0;  // trapping op: executing it raises DecodeFault
-      block_end = true;
-    }
-    if (block_end) op.flags |= kBlockEnd;
+    }  // else: trapping op, executing it raises DecodeFault
   }
 
-  // Fusion pass: fold the per-op hashes into a contiguous lane and
-  // compute, per op, the length of the maximal fusible run (block body)
-  // starting there (suffix scan; a run never crosses a block end, so
-  // the superop executor retires at most one basic block per dispatch).
-  const auto fuse_start = std::chrono::steady_clock::now();
-  compiled->hash_lane_.resize(n);
-  compiled->fused_run_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    compiled->hash_lane_[i] = compiled->ops_[i].mhash;
-  }
-  for (std::size_t i = n; i-- > 0;) {
-    const PreOp& op = compiled->ops_[i];
-    if (!(op.flags & kDecoded) || !fusible_op(op.instr.op)) {
-      compiled->fused_run_[i] = 0;
-      continue;
-    }
-    std::uint32_t run = 1;
-    if (!(op.flags & kBlockEnd) && i + 1 < n) {
-      run += compiled->fused_run_[i + 1];
-      if (run > 255) run = 255;
-    }
-    compiled->fused_run_[i] = static_cast<std::uint8_t>(run);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (compiled->fused_run_[i] == 0) continue;
-    // A maximal run starts at i when no run covers i from the left.
-    const bool covered =
-        i > 0 && compiled->fused_run_[i - 1] != 0 &&
-        !(compiled->ops_[i - 1].flags & kBlockEnd) &&
-        compiled->fused_run_[i - 1] != 255;
-    if (!covered) {
-      ++compiled->num_fused_runs_;
-    }
-    ++compiled->num_fused_ops_;
-  }
-  compiled->fuse_build_ns_ = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - fuse_start)
-          .count());
-
-  // Trace-formation pass: from each block leader, stitch a superblock
-  // by following fall-through, unconditional jumps, and statically
-  // predicted branches (backward = taken, forward = not taken). A
-  // trace is only kept when it beats what block fusion already covers
-  // at that pc: at least two ops AND at least one control-flow op or
-  // block-boundary crossing.
-  const auto trace_start = std::chrono::steady_clock::now();
-  compiled->trace_len_.assign(n, 0);
-  compiled->trace_off_.assign(n, 0);
-  std::vector<TraceOp> buf;
-  buf.reserve(kTraceCap);
-  for (const std::uint32_t leader : blocks.leaders) {
+  // Walk the statically predicted path from `pc` (backward branch =
+  // taken, forward = not taken) into `buf`.
+  const auto form = [&](std::uint32_t pc, std::vector<TraceOp>& buf) {
     buf.clear();
-    bool crossed = false;  // crosses a block end or contains control flow
-    std::uint32_t pc = compiled->text_base_ + leader * 4;
-    while (buf.size() < kTraceCap) {
-      const std::uint32_t off = pc - compiled->text_base_;
-      if (off >= compiled->text_bytes_) break;  // left the text
-      const PreOp& op = compiled->ops_[off >> 2];
-      if (!(op.flags & kDecoded)) break;  // would trap: interpreter's job
+    const auto in_text = [&](std::uint32_t target) {
+      return target - compiled->text_base_ < compiled->text_bytes_;
+    };
+    while (buf.size() < kTraceCap && in_text(pc)) {
+      const PreOp& op = compiled->ops_[(pc - compiled->text_base_) >> 2];
+      if (!(op.flags & kDecoded)) return;  // would trap: interpreter's job
       TraceOp top;
       top.instr = op.instr;
       top.pc = pc;
       top.word = op.word;
       top.mhash = op.mhash;
-      bool stop = false;
       switch (isa::op_class(op.instr.op)) {
         case isa::OpClass::Alu:
         case isa::OpClass::Load:
         case isa::OpClass::Store:
-          // Body op: falling through a block end here is exactly the
-          // superblock win (a jump target lands mid-stream).
-          if (op.flags & kBlockEnd) crossed = true;
-          buf.push_back(top);
           pc += 4;
           break;
-        case isa::OpClass::Branch: {
-          crossed = true;
-          const std::uint32_t target =
-              pc + 4 + static_cast<std::uint32_t>(op.instr.imm) * 4;
+        case isa::OpClass::Branch:
           if (op.instr.imm < 0) {
-            // Backward branch: predict taken (the loop heuristic).
-            top.flags |= kTracePredTaken;
-            buf.push_back(top);
-            if (target - compiled->text_base_ >= compiled->text_bytes_) {
-              stop = true;  // predicted target escapes the text
-            } else {
-              pc = target;
-            }
+            top.flags |= kTracePredTaken;  // backward: the loop heuristic
+            pc += 4 + static_cast<std::uint32_t>(op.instr.imm) * 4;
           } else {
-            // Forward branch: predict not taken, fall through.
-            buf.push_back(top);
             pc += 4;
           }
           break;
-        }
         case isa::OpClass::Jump:
-        case isa::OpClass::JumpLink: {
-          crossed = true;
-          const std::uint32_t target = op.instr.target * 4;
-          buf.push_back(top);
-          if (target - compiled->text_base_ >= compiled->text_bytes_) {
-            stop = true;  // jump leaves the text: trace ends with it
-          } else {
-            pc = target;
-          }
+        case isa::OpClass::JumpLink:
+          pc = op.instr.target * 4;
           break;
-        }
-        default:
-          // JumpReg (indirect) and Trap ops never enter a trace.
-          stop = true;
-          break;
+        case isa::OpClass::JumpReg:
+          buf.push_back(top);  // indirect: resolved at run time, ends
+          return;
+        case isa::OpClass::Trap:
+          return;  // syscall/break always trap: interpreter's job
       }
-      if (stop) break;
+      buf.push_back(top);
     }
-    if (buf.size() < 2 || !crossed) continue;
-    compiled->trace_off_[leader] =
-        static_cast<std::uint32_t>(compiled->trace_ops_.size());
-    compiled->trace_len_[leader] = static_cast<std::uint8_t>(buf.size());
+  };
+
+  // Trace-formation pass: a fresh trace at every block leader (and at
+  // any pc the 255-op cap left uncovered); every later pc of the
+  // leader's contiguous prefix inside its own block anchors the matching
+  // suffix. Pcs where no trace can start keep length 0.
+  const auto trace_start = std::chrono::steady_clock::now();
+  compiled->trace_len_.assign(n, 0);
+  compiled->trace_off_.assign(n, 0);
+  std::vector<TraceOp> buf;
+  buf.reserve(kTraceCap);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!leader[i] && compiled->trace_len_[i] != 0) continue;
+    form(compiled->text_base_ + static_cast<std::uint32_t>(i) * 4, buf);
+    if (buf.empty()) continue;
+    const auto at = static_cast<std::uint32_t>(compiled->trace_ops_.size());
+    const auto len = static_cast<std::uint32_t>(buf.size());
+    compiled->trace_off_[i] = at;
+    compiled->trace_len_[i] = static_cast<std::uint8_t>(len);
+    for (std::uint32_t k = 1; k < len; ++k) {
+      const std::size_t j = (buf[k].pc - compiled->text_base_) >> 2;
+      if (buf[k].pc != buf[k - 1].pc + 4 || leader[j]) break;
+      compiled->trace_off_[j] = at + k;
+      compiled->trace_len_[j] = static_cast<std::uint8_t>(len - k);
+    }
     for (const TraceOp& top : buf) {
       compiled->trace_ops_.push_back(top);
       compiled->trace_hash_lane_.push_back(top.mhash);
     }
     ++compiled->num_traces_;
-    compiled->num_trace_ops_ += buf.size();
+    compiled->num_trace_ops_ += len;
   }
   compiled->trace_build_ns_ = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

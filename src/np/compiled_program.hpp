@@ -7,7 +7,7 @@
 // install time. CompiledProgram lowers the text once into an array of
 // predecoded micro-ops, each carrying the decoded isa::Instr, the raw
 // word, the precomputed w-bit monitor hash under the installed
-// InstructionHash, and basic-block-boundary flags, so Core::step()
+// InstructionHash, and a decoded flag, so Core::step()
 // becomes an indexed fetch plus the execute switch and the monitor check
 // becomes a byte load fed straight into HardwareMonitor::on_hashed().
 //
@@ -27,45 +27,28 @@
 // never undefined behavior -- executing one raises Trap::DecodeFault
 // exactly as the interpreter would.
 //
-// Block fusion (docs/EXECUTION.md): on top of the per-op tables the
-// compile pass folds each basic block's *body* -- the maximal
-// straight-line stretch of decoded non-control-flow ops (ALU, loads,
-// stores; everything that either retires to pc+4 or raises a trap) --
-// into two parallel install-time tables:
-//   * hash_lane_[i]: the precomputed monitor hash of op i, contiguous,
-//     so a whole block's hashes feed HardwareMonitor::advance() as one
-//     slice instead of one on_hashed() call per instruction;
-//   * fused_run_[i]: the length of the maximal fusible run starting at
-//     op i (0 when op i is not fusible), truncated at the block end, so
-//     the core's superop executor (Core::exec_fused_run) retires the
-//     block body in one computed-goto dispatch loop.
-// Fusible ops may trap (overflow, MemFault) and may touch memory, so
-// the fused schedule is execute-first: the executor stops *before* any
-// op that would trap or touch MMIO and stops *after* a store that
-// dirties the predecoded text, then reports exactly how many ops
-// retired; MonitoredCore feeds the monitor precisely that many hashes.
-// That makes the fused schedule bit-identical to the interpreted
-// interleaving (the equivalence argument lives in docs/EXECUTION.md
-// and is enforced by tests/core_fuse_diff_test).
+// Trace formation (docs/EXECUTION.md): on top of the per-op tables
+// the compile pass stitches, per block leader, a *trace*: starting at
+// the leader it follows fall-through ops, unconditional jumps (j/jal),
+// and statically predicted conditional branches (backward = taken,
+// forward = not taken -- the classic loop heuristic) across block
+// boundaries until it reaches an indirect jump (jr/jalr, kept as the
+// trace's last op), a syscall/break, an undecodable word, a predicted
+// target outside the text, or the 255-op cap. Each TraceOp carries its
+// own pc (trace pcs are not contiguous; loops unroll), the decoded
+// instr, raw word, precomputed monitor hash, and a predicted-taken flag
+// that doubles as the side-exit record: when the core's trace executor
+// (Core::exec_trace) resolves a branch against its prediction it
+// retires that branch and *side-exits*, and MonitoredCore retracts only
+// the monitor-unchecked overshoot, so compiled execution stays
+// bit-identical to the interpreter oracle
+// (tests/core_compiled_diff_test).
 //
-// Trace (superblock) formation (docs/EXECUTION.md, tier 4): block
-// fusion stops at every basic-block boundary, but branchy data-plane
-// code spends most of its retirement on short blocks glued by highly
-// predictable branches. The compile pass therefore also stitches, per
-// block leader, a *trace*: starting at the leader it follows
-// fall-through body ops, unconditional jumps (j/jal), and statically
-// predicted conditional branches (backward = taken, forward = not
-// taken -- the classic loop heuristic) across block boundaries until
-// it reaches an indirect jump, a trap op, an undecodable word, a
-// predicted target outside the text, or the 255-op cap. Each TraceOp
-// carries its own pc (trace pcs are not contiguous; loops unroll), the
-// decoded instr, raw word, precomputed monitor hash, and a
-// predicted-taken flag that doubles as the side-exit record: when the
-// core's trace executor (Core::exec_trace) resolves a branch against
-// its prediction it retires that branch and *side-exits*, and
-// MonitoredCore retracts only the monitor-unchecked overshoot, so the
-// tier stays bit-identical to the interpreter oracle
-// (tests/core_trace_diff_test).
+// Every pc in the contiguous prefix of a leader's trace that lies in
+// the leader's own block anchors the matching *suffix* of that trace
+// (per-pc trace_len_/trace_off_ entries pointing into the same ops), so
+// a mid-block resume -- the op after an MMIO stop, a jr into a block
+// interior -- re-enters compiled code without copying any ops.
 #ifndef SDMMON_NP_COMPILED_PROGRAM_HPP
 #define SDMMON_NP_COMPILED_PROGRAM_HPP
 
@@ -81,8 +64,7 @@ namespace sdmmon::np {
 
 class CompiledProgram {
  public:
-  /// One predecoded text word. 16 bytes; the superblock stepper walks
-  /// these sequentially, so one cache line holds four ops.
+  /// One predecoded text word, indexed by (pc - text_base) / 4.
   struct PreOp {
     isa::Instr instr;        // valid iff flags & kDecoded
     std::uint32_t word = 0;  // raw encoding (what the monitor hashes)
@@ -91,8 +73,7 @@ class CompiledProgram {
   };
 
   /// PreOp::flags bits.
-  static constexpr std::uint8_t kDecoded = 0x01;   // instr is valid
-  static constexpr std::uint8_t kBlockEnd = 0x02;  // last op of a basic block
+  static constexpr std::uint8_t kDecoded = 0x01;  // instr is valid
 
   /// One op of a formed trace (superblock). Unlike PreOp, trace ops are
   /// not indexed by pc -- a trace's pcs jump across blocks and may
@@ -108,8 +89,8 @@ class CompiledProgram {
   /// TraceOp::flags bits.
   static constexpr std::uint8_t kTracePredTaken = 0x04;  // branch predicted taken
 
-  /// Formed traces are capped like fused runs; the cap also guarantees
-  /// formation terminates on unrolled loops.
+  /// Ops per formed trace at most; the cap also guarantees formation
+  /// terminates on unrolled loops.
   static constexpr std::uint32_t kTraceCap = 255;
 
   /// A trace anchored at one pc: `len` ops with a parallel contiguous
@@ -121,12 +102,12 @@ class CompiledProgram {
     std::uint32_t len = 0;
   };
 
-  /// Decode every text word once and precompute its monitor hash under
-  /// `hash` (the parameterized unit installed with the program). Block
-  /// boundaries come from monitor::analysis::find_basic_blocks, so the
-  /// superblock stepper and the monitoring graph agree on extents.
-  /// Undecodable words become trapping ops (kDecoded clear) that also
-  /// end their block. Never throws on strange text -- the artifact is
+  /// Decode every text word once, precompute its monitor hash under
+  /// `hash` (the parameterized unit installed with the program), and
+  /// form the traces. Block leaders come from
+  /// monitor::analysis::find_basic_blocks, so traces and the monitoring
+  /// graph agree on extents. Undecodable words become trapping ops
+  /// (kDecoded clear). Never throws on strange text -- the artifact is
   /// total over the installed image.
   static std::shared_ptr<const CompiledProgram> compile(
       const isa::Program& program, const monitor::InstructionHash& hash);
@@ -148,39 +129,13 @@ class CompiledProgram {
   /// Raw op array for the core's cached-pointer hot path.
   const PreOp* ops_data() const { return ops_.data(); }
 
-  /// True for ops the fused executor may attempt in a batch: decoded
-  /// block-body ops (ALU, load, store classes). Fusible ops either
-  /// retire to pc+4 or stop the batch (would-trap, MMIO access); only
-  /// control flow and syscall/break are excluded, and those end the
-  /// block anyway. The static contract Core::exec_fused_run relies on.
-  static bool fusible_op(isa::Op op);
-
-  /// Contiguous per-op monitor hashes (hash_lane_[i] == ops_[i].mhash):
-  /// the precomputed hash slice MonitoredCore feeds to
-  /// HardwareMonitor::advance() one fused run at a time.
+  /// Contiguous per-pc monitor hashes (hash_lane_[i] == ops_[i].mhash),
+  /// indexed like ops_data().
   const std::uint8_t* hash_lane_data() const { return hash_lane_.data(); }
 
-  /// fused_run_data()[i] = length of the maximal fusible run starting
-  /// at op i (see fusible_op), truncated at the basic-block end and
-  /// capped at 255; 0 when op i itself is not fusible. Indexed by
-  /// (pc - base)/4 exactly like ops_data(), so mid-block entry
-  /// (jr/jalr into a block interior) fuses the remaining suffix
-  /// naturally.
-  const std::uint8_t* fused_run_data() const { return fused_run_.data(); }
-
-  /// Maximal fused runs in the artifact / ops covered by them (the
-  /// np.engine.fused_runs / np.engine.fused_ops install gauges).
-  std::size_t num_fused_runs() const { return num_fused_runs_; }
-  std::size_t num_fused_ops() const { return num_fused_ops_; }
-
-  /// Wall-clock cost of building the fusion tables inside compile()
-  /// (the np.core.block_fuse_ns install histogram) -- the slice of
-  /// predecode_ns attributable to fusion.
-  std::uint64_t fuse_build_ns() const { return fuse_build_ns_; }
-
   /// The trace anchored at `pc` (len == 0 when none: pc outside the
-  /// text, misaligned, not a block leader, or the candidate trace never
-  /// beat plain block fusion).
+  /// text, misaligned, or at an op no trace can start with -- an
+  /// undecodable word or a syscall/break).
   TraceRef trace_at(std::uint32_t pc) const {
     const std::uint32_t off = pc - text_base_;
     if (off >= text_bytes_ || (off & 3u) != 0) return {};
@@ -190,12 +145,12 @@ class CompiledProgram {
     return {trace_ops_.data() + at, trace_hash_lane_.data() + at, len};
   }
 
-  /// Per-op trace tables for the core's cached-pointer hot path,
+  /// Per-pc trace tables for the core's cached-pointer hot path,
   /// indexed by (pc - base)/4 like ops_data(). trace_len_data()[i] is
   /// the length of the trace anchored at op i (0: none);
   /// trace_off_data()[i] is its offset into trace_ops_data() /
   /// trace_hash_lane_data() (parallel flat arrays holding every formed
-  /// trace concatenated).
+  /// trace concatenated; suffix anchors point into their leader's ops).
   const std::uint8_t* trace_len_data() const { return trace_len_.data(); }
   const std::uint32_t* trace_off_data() const { return trace_off_.data(); }
   const TraceOp* trace_ops_data() const { return trace_ops_.data(); }
@@ -203,13 +158,14 @@ class CompiledProgram {
     return trace_hash_lane_.data();
   }
 
-  /// Formed traces / total trace ops (the np.engine.trace_count /
-  /// np.engine.trace_ops install gauges).
+  /// Formed traces / total stored trace ops (the np.engine.trace_count /
+  /// np.engine.trace_ops install gauges). Suffix anchors store no ops
+  /// and count as no trace of their own.
   std::size_t num_traces() const { return num_traces_; }
   std::size_t num_trace_ops() const { return num_trace_ops_; }
 
   /// Wall-clock cost of the trace-formation pass inside compile() (the
-  /// np.core.trace_exec_ns install histogram).
+  /// np.core.trace_build_ns install histogram).
   std::uint64_t trace_build_ns() const { return trace_build_ns_; }
 
   /// Precomputed monitor hash of the instruction at `pc`. Returns false
@@ -226,9 +182,8 @@ class CompiledProgram {
   /// gauge). Excludes the retained source program, which is cold.
   std::size_t footprint_bytes() const {
     return ops_.size() * sizeof(PreOp) + hash_lane_.size() +
-           fused_run_.size() + trace_ops_.size() * sizeof(TraceOp) +
-           trace_hash_lane_.size() + trace_len_.size() +
-           trace_off_.size() * sizeof(std::uint32_t);
+           trace_ops_.size() * sizeof(TraceOp) + trace_hash_lane_.size() +
+           trace_len_.size() + trace_off_.size() * sizeof(std::uint32_t);
   }
 
   /// The program this artifact was predecoded from (what gets signed,
@@ -242,17 +197,13 @@ class CompiledProgram {
   std::uint32_t text_base_ = 0;
   std::uint32_t text_bytes_ = 0;
   std::size_t num_blocks_ = 0;
-  std::size_t num_fused_runs_ = 0;
-  std::size_t num_fused_ops_ = 0;
   std::size_t num_traces_ = 0;
   std::size_t num_trace_ops_ = 0;
-  std::uint64_t fuse_build_ns_ = 0;
   std::uint64_t trace_build_ns_ = 0;
   int hash_width_ = 0;
   std::string hash_name_;
   std::vector<PreOp> ops_;
   std::vector<std::uint8_t> hash_lane_;  // mhash per op, contiguous
-  std::vector<std::uint8_t> fused_run_;  // fused-run length per op
   std::vector<std::uint8_t> trace_len_;  // trace length per op (0: none)
   std::vector<std::uint32_t> trace_off_;  // offset into trace_ops_
   std::vector<TraceOp> trace_ops_;        // all traces, concatenated

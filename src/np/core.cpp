@@ -7,6 +7,236 @@ namespace sdmmon::np {
 using isa::Instr;
 using isa::Op;
 
+namespace {
+
+#if defined(__GNUC__) || defined(__clang__)
+#define SDMMON_ALWAYS_INLINE [[gnu::always_inline]] inline
+#else
+#define SDMMON_ALWAYS_INLINE inline
+#endif
+
+// ---------------------------------------------------------------------
+// Op semantics, defined once for the interpreter (Core::exec) and the
+// trace executor (Core::exec_trace).
+// ---------------------------------------------------------------------
+
+// The InstrMix counter a retired op increments. Branches start as
+// not taken; callers reclassify taken ones.
+using MixField = std::uint64_t InstrMix::*;
+const std::array<MixField, isa::kNumOps> kMixField = [] {
+  std::array<MixField, isa::kNumOps> fields{};
+  for (int i = 0; i < isa::kNumOps; ++i) {
+    const Op op = static_cast<Op>(i);
+    switch (isa::op_class(op)) {
+      case isa::OpClass::Alu:
+        fields[i] = (op == Op::Mult || op == Op::Multu || op == Op::Div ||
+                     op == Op::Divu)
+                        ? &InstrMix::muldiv
+                        : &InstrMix::alu;
+        break;
+      case isa::OpClass::Load: fields[i] = &InstrMix::load; break;
+      case isa::OpClass::Store: fields[i] = &InstrMix::store; break;
+      case isa::OpClass::Branch: fields[i] = &InstrMix::branch_not_taken; break;
+      case isa::OpClass::Jump:
+      case isa::OpClass::JumpLink:
+      case isa::OpClass::JumpReg: fields[i] = &InstrMix::jump; break;
+      case isa::OpClass::Trap: fields[i] = &InstrMix::trap; break;
+    }
+  }
+  return fields;
+}();
+
+SDMMON_ALWAYS_INLINE std::uint64_t& mix_counter(InstrMix& mix, Op op) {
+  return mix.*kMixField[static_cast<std::size_t>(op)];
+}
+
+// What exec_body() did with one op.
+enum class Effect : std::uint8_t {
+  Retired,    // executed; pc advances to pc + 4
+  TextStore,  // retired store into the predecoded text: it is now stale
+  Overflow,   // would trap on signed overflow; nothing changed
+  MemFault,   // would trap on a faulting access; nothing changed
+  Mmio,       // load/store into the MMIO range; nothing changed
+  Control,    // control flow or syscall/break: the caller's job
+};
+
+SDMMON_ALWAYS_INLINE void set_reg(std::uint32_t* regs, unsigned r,
+                                  std::uint32_t v) {
+  if (r != 0) regs[r] = v;
+}
+
+// Retired data-path ops per mix class. The trace loop keeps these in
+// registers and folds them into the core's InstrMix once per dispatch.
+struct BodyTally {
+  std::uint64_t alu = 0;
+  std::uint64_t muldiv = 0;
+  std::uint64_t load = 0;
+  std::uint64_t store = 0;
+};
+
+SDMMON_ALWAYS_INLINE Effect retire(std::uint64_t& count) {
+  ++count;
+  return Effect::Retired;
+}
+
+// Execute the data-path semantics (ALU, mul/div, load, store) of `in`
+// against registers, hi/lo and memory, counting it in `tally` when it
+// retires. Stops before any change for would-trap ops and MMIO
+// accesses; reports stores that land in [text_base, text_base +
+// text_bytes).
+SDMMON_ALWAYS_INLINE Effect exec_body(const Instr& in, std::uint32_t* regs,
+                                      std::uint32_t& hi, std::uint32_t& lo,
+                                      Memory& mem, std::uint32_t text_base,
+                                      std::uint32_t text_bytes,
+                                      BodyTally& tally) {
+  const std::uint32_t rs = regs[in.rs];
+  const std::uint32_t rt = regs[in.rt];
+  const auto simm = static_cast<std::uint32_t>(in.imm);
+  const std::uint32_t zimm = simm & 0xFFFFu;
+  const std::uint32_t addr = rs + simm;
+  switch (in.op) {
+    case Op::Sll: set_reg(regs, in.rd, rt << in.shamt); break;
+    case Op::Srl: set_reg(regs, in.rd, rt >> in.shamt); break;
+    case Op::Sra:
+      set_reg(regs, in.rd, static_cast<std::uint32_t>(
+                               static_cast<std::int32_t>(rt) >> in.shamt));
+      break;
+    case Op::Sllv: set_reg(regs, in.rd, rt << (rs & 31)); break;
+    case Op::Srlv: set_reg(regs, in.rd, rt >> (rs & 31)); break;
+    case Op::Srav:
+      set_reg(regs, in.rd, static_cast<std::uint32_t>(
+                               static_cast<std::int32_t>(rt) >> (rs & 31)));
+      break;
+    case Op::Mfhi: set_reg(regs, in.rd, hi); break;
+    case Op::Mflo: set_reg(regs, in.rd, lo); break;
+    case Op::Mult: {
+      const std::int64_t prod =
+          static_cast<std::int64_t>(static_cast<std::int32_t>(rs)) *
+          static_cast<std::int32_t>(rt);
+      lo = static_cast<std::uint32_t>(prod);
+      hi = static_cast<std::uint32_t>(static_cast<std::uint64_t>(prod) >> 32);
+      return retire(tally.muldiv);
+    }
+    case Op::Multu: {
+      const std::uint64_t prod = static_cast<std::uint64_t>(rs) * rt;
+      lo = static_cast<std::uint32_t>(prod);
+      hi = static_cast<std::uint32_t>(prod >> 32);
+      return retire(tally.muldiv);
+    }
+    case Op::Div: {
+      const auto a = static_cast<std::int32_t>(rs);
+      const auto b = static_cast<std::int32_t>(rt);
+      if (b != 0) {
+        lo = static_cast<std::uint32_t>(a / b);
+        hi = static_cast<std::uint32_t>(a % b);
+      }
+      return retire(tally.muldiv);
+    }
+    case Op::Divu:
+      if (rt != 0) {
+        lo = rs / rt;
+        hi = rs % rt;
+      }
+      return retire(tally.muldiv);
+    case Op::Add: {
+      const std::uint32_t sum = rs + rt;
+      // Signed overflow iff operands share sign and result differs.
+      if (~(rs ^ rt) & (rs ^ sum) & 0x8000'0000u) return Effect::Overflow;
+      set_reg(regs, in.rd, sum);
+      break;
+    }
+    case Op::Addu: set_reg(regs, in.rd, rs + rt); break;
+    case Op::Sub: {
+      const std::uint32_t diff = rs - rt;
+      if ((rs ^ rt) & (rs ^ diff) & 0x8000'0000u) return Effect::Overflow;
+      set_reg(regs, in.rd, diff);
+      break;
+    }
+    case Op::Subu: set_reg(regs, in.rd, rs - rt); break;
+    case Op::And: set_reg(regs, in.rd, rs & rt); break;
+    case Op::Or: set_reg(regs, in.rd, rs | rt); break;
+    case Op::Xor: set_reg(regs, in.rd, rs ^ rt); break;
+    case Op::Nor: set_reg(regs, in.rd, ~(rs | rt)); break;
+    case Op::Slt:
+      set_reg(regs, in.rd,
+              static_cast<std::int32_t>(rs) < static_cast<std::int32_t>(rt)
+                  ? 1u
+                  : 0u);
+      break;
+    case Op::Sltu: set_reg(regs, in.rd, rs < rt ? 1u : 0u); break;
+    case Op::Addi: {
+      const std::uint32_t sum = rs + simm;
+      if (~(rs ^ simm) & (rs ^ sum) & 0x8000'0000u) return Effect::Overflow;
+      set_reg(regs, in.rt, sum);
+      break;
+    }
+    case Op::Addiu: set_reg(regs, in.rt, rs + simm); break;
+    case Op::Slti:
+      set_reg(regs, in.rt, static_cast<std::int32_t>(rs) < in.imm ? 1u : 0u);
+      break;
+    case Op::Sltiu: set_reg(regs, in.rt, rs < simm ? 1u : 0u); break;
+    case Op::Andi: set_reg(regs, in.rt, rs & zimm); break;
+    case Op::Ori: set_reg(regs, in.rt, rs | zimm); break;
+    case Op::Xori: set_reg(regs, in.rt, rs ^ zimm); break;
+    case Op::Lui: set_reg(regs, in.rt, zimm << 16); break;
+    case Op::Lb: case Op::Lbu: {
+      if (addr >= kMmioBase) return Effect::Mmio;
+      const auto v = mem.load8(addr);
+      if (!v) return Effect::MemFault;
+      set_reg(regs, in.rt,
+              in.op == Op::Lb ? static_cast<std::uint32_t>(
+                                    static_cast<std::int8_t>(*v))
+                              : *v);
+      return retire(tally.load);
+    }
+    case Op::Lh: case Op::Lhu: {
+      if (addr >= kMmioBase) return Effect::Mmio;
+      const auto v = mem.load16(addr);
+      if (!v) return Effect::MemFault;
+      set_reg(regs, in.rt,
+              in.op == Op::Lh ? static_cast<std::uint32_t>(
+                                    static_cast<std::int16_t>(*v))
+                              : *v);
+      return retire(tally.load);
+    }
+    case Op::Lw: {
+      if (addr >= kMmioBase) return Effect::Mmio;
+      const auto v = mem.load32(addr);
+      if (!v) return Effect::MemFault;
+      set_reg(regs, in.rt, *v);
+      return retire(tally.load);
+    }
+    case Op::Sb: case Op::Sh: case Op::Sw: {
+      if (addr >= kMmioBase) return Effect::Mmio;
+      const MemFault fault =
+          in.op == Op::Sb   ? mem.store8(addr, static_cast<std::uint8_t>(rt))
+          : in.op == Op::Sh ? mem.store16(addr, static_cast<std::uint16_t>(rt))
+                            : mem.store32(addr, rt);
+      if (fault != MemFault::None) return Effect::MemFault;
+      ++tally.store;
+      return addr - text_base < text_bytes ? Effect::TextStore
+                                           : Effect::Retired;
+    }
+    default:
+      return Effect::Control;
+  }
+  return retire(tally.alu);  // every case that breaks is a plain ALU op
+}
+
+// Whether conditional branch `in` is taken.
+SDMMON_ALWAYS_INLINE bool branch_taken(const Instr& in,
+                                       const std::uint32_t* regs) {
+  const std::uint32_t rs = regs[in.rs];
+  switch (in.op) {
+    case Op::Beq: return rs == regs[in.rt];
+    case Op::Bne: return rs != regs[in.rt];
+    case Op::Blez: return static_cast<std::int32_t>(rs) <= 0;
+    default: return static_cast<std::int32_t>(rs) > 0;  // Bgtz
+  }
+}
+
+}  // namespace
+
 const char* trap_name(Trap trap) {
   switch (trap) {
     case Trap::None: return "none";
@@ -45,28 +275,15 @@ void Core::load_program(const isa::Program& program,
 }
 
 void Core::update_predecode_live() {
-  if (compiled_ != nullptr) {
-    pre_base_ = compiled_->text_base();
-    pre_text_bytes_ = compiled_->text_bytes();
-    pre_ops_ = (predecode_enabled_ && !text_dirty_) ? compiled_->ops_data()
-                                                    : nullptr;
-  } else {
-    pre_ops_ = nullptr;
-    pre_base_ = 0;
-    pre_text_bytes_ = 0;
-  }
-  pre_run_ = (pre_ops_ != nullptr && fuse_enabled_)
-                 ? compiled_->fused_run_data()
-                 : nullptr;
-  if (pre_run_ != nullptr && trace_enabled_) {
-    pre_trace_len_ = compiled_->trace_len_data();
-    pre_trace_off_ = compiled_->trace_off_data();
-    pre_trace_ops_ = compiled_->trace_ops_data();
-  } else {
-    pre_trace_len_ = nullptr;
-    pre_trace_off_ = nullptr;
-    pre_trace_ops_ = nullptr;
-  }
+  const CompiledProgram* code = compiled_.get();
+  const bool live = code != nullptr && predecode_enabled_ && !text_dirty_;
+  pre_base_ = code != nullptr ? code->text_base() : 0;
+  pre_text_bytes_ = code != nullptr ? code->text_bytes() : 0;
+  pre_ops_ = live ? code->ops_data() : nullptr;
+  pre_trace_len_ = live ? code->trace_len_data() : nullptr;
+  pre_trace_off_ = live ? code->trace_off_data() : nullptr;
+  pre_trace_ops_ = live ? code->trace_ops_data() : nullptr;
+  pre_trace_hashes_ = live ? code->trace_hash_lane_data() : nullptr;
 }
 
 void Core::reset() {
@@ -213,833 +430,98 @@ StepInfo Core::step() {
 StepInfo Core::exec(const Instr& in, StepInfo info) {
   ++cycles_;
   ++packet_cycles_;
-  std::uint32_t next_pc = pc_ + 4;
+  // Retired-instruction mix for the cycle-cost model, counted at entry
+  // (a trapping op still costs its cycle).
+  ++mix_counter(mix_, in.op);
 
-  // Retired-instruction mix for the cycle-cost model. Branches start as
-  // not-taken and are reclassified after execution resolves them.
-  switch (isa::op_class(in.op)) {
-    case isa::OpClass::Alu:
-      if (in.op == Op::Mult || in.op == Op::Multu || in.op == Op::Div ||
-          in.op == Op::Divu) {
-        ++mix_.muldiv;
-      } else {
-        ++mix_.alu;
-      }
+  BodyTally counted_at_entry;
+  switch (exec_body(in, regs_.data(), hi_, lo_, mem_, pre_base_,
+                    pre_text_bytes_, counted_at_entry)) {
+    case Effect::Retired:
+      pc_ += 4;
       break;
-    case isa::OpClass::Load: ++mix_.load; break;
-    case isa::OpClass::Store: ++mix_.store; break;
-    case isa::OpClass::Branch: ++mix_.branch_not_taken; break;
-    case isa::OpClass::Jump:
-    case isa::OpClass::JumpLink:
-    case isa::OpClass::JumpReg: ++mix_.jump; break;
-    case isa::OpClass::Trap: ++mix_.trap; break;
+    case Effect::TextStore:
+      // Self-modifying store: the predecoded image is stale from here on.
+      text_dirty_ = true;
+      update_predecode_live();
+      pc_ += 4;
+      break;
+    case Effect::Overflow:
+      return finish(info, StepEvent::Trapped, Trap::Overflow);
+    case Effect::MemFault:
+      return finish(info, StepEvent::Trapped, Trap::MemFault);
+    case Effect::Mmio:
+      return exec_mmio(in, info);
+    case Effect::Control: {
+      const std::uint32_t rs = regs_[in.rs];
+      std::uint32_t next_pc = pc_ + 4;
+      switch (in.op) {
+        case Op::Jr: next_pc = rs; break;
+        case Op::Jalr:
+          if (in.rd != 0) regs_[in.rd] = pc_ + 4;
+          next_pc = rs;
+          break;
+        case Op::Syscall:
+          return finish(info, StepEvent::Trapped, Trap::Syscall);
+        case Op::Break:
+          return finish(info, StepEvent::Trapped, Trap::Break);
+        case Op::J: next_pc = in.target * 4; break;
+        case Op::Jal:
+          regs_[31] = pc_ + 4;
+          next_pc = in.target * 4;
+          break;
+        default:  // conditional branch
+          if (branch_taken(in, regs_.data())) {
+            next_pc += static_cast<std::uint32_t>(in.imm) * 4;
+          }
+          // Taken iff it left the fall-through path (a taken
+          // branch-to-next counts not taken).
+          if (next_pc != pc_ + 4) {
+            --mix_.branch_not_taken;
+            ++mix_.branch_taken;
+          }
+          break;
+      }
+      pc_ = next_pc;
+      break;
+    }
   }
-
-  auto rs = [&] { return regs_[in.rs]; };
-  auto rt = [&] { return regs_[in.rt]; };
-  auto write_rd = [&](std::uint32_t v) {
-    if (in.rd != 0) regs_[in.rd] = v;
-  };
-  auto write_rt = [&](std::uint32_t v) {
-    if (in.rt != 0) regs_[in.rt] = v;
-  };
-  auto simm = static_cast<std::uint32_t>(in.imm);
-  auto zimm = static_cast<std::uint32_t>(in.imm) & 0xFFFFu;
-
-  switch (in.op) {
-    case Op::Sll: write_rd(rt() << in.shamt); break;
-    case Op::Srl: write_rd(rt() >> in.shamt); break;
-    case Op::Sra:
-      write_rd(static_cast<std::uint32_t>(
-          static_cast<std::int32_t>(rt()) >> in.shamt));
-      break;
-    case Op::Sllv: write_rd(rt() << (rs() & 31)); break;
-    case Op::Srlv: write_rd(rt() >> (rs() & 31)); break;
-    case Op::Srav:
-      write_rd(static_cast<std::uint32_t>(
-          static_cast<std::int32_t>(rt()) >> (rs() & 31)));
-      break;
-
-    case Op::Jr: next_pc = rs(); break;
-    case Op::Jalr: {
-      std::uint32_t target = rs();
-      write_rd(pc_ + 4);
-      next_pc = target;
-      break;
-    }
-
-    case Op::Syscall:
-      return finish(info, StepEvent::Trapped, Trap::Syscall);
-    case Op::Break:
-      return finish(info, StepEvent::Trapped, Trap::Break);
-
-    case Op::Mfhi: write_rd(hi_); break;
-    case Op::Mflo: write_rd(lo_); break;
-    case Op::Mult: {
-      std::int64_t prod = static_cast<std::int64_t>(
-                              static_cast<std::int32_t>(rs())) *
-                          static_cast<std::int32_t>(rt());
-      lo_ = static_cast<std::uint32_t>(prod);
-      hi_ = static_cast<std::uint32_t>(static_cast<std::uint64_t>(prod) >> 32);
-      break;
-    }
-    case Op::Multu: {
-      std::uint64_t prod = static_cast<std::uint64_t>(rs()) * rt();
-      lo_ = static_cast<std::uint32_t>(prod);
-      hi_ = static_cast<std::uint32_t>(prod >> 32);
-      break;
-    }
-    case Op::Div: {
-      std::int32_t a = static_cast<std::int32_t>(rs());
-      std::int32_t b = static_cast<std::int32_t>(rt());
-      if (b != 0) {
-        lo_ = static_cast<std::uint32_t>(a / b);
-        hi_ = static_cast<std::uint32_t>(a % b);
-      }
-      break;
-    }
-    case Op::Divu:
-      if (rt() != 0) {
-        lo_ = rs() / rt();
-        hi_ = rs() % rt();
-      }
-      break;
-
-    case Op::Add: {
-      std::uint32_t sum = rs() + rt();
-      // Signed overflow iff operands share sign and result differs.
-      if (~(rs() ^ rt()) & (rs() ^ sum) & 0x8000'0000u) {
-        return finish(info, StepEvent::Trapped, Trap::Overflow);
-      }
-      write_rd(sum);
-      break;
-    }
-    case Op::Addu: write_rd(rs() + rt()); break;
-    case Op::Sub: {
-      std::uint32_t diff = rs() - rt();
-      if ((rs() ^ rt()) & (rs() ^ diff) & 0x8000'0000u) {
-        return finish(info, StepEvent::Trapped, Trap::Overflow);
-      }
-      write_rd(diff);
-      break;
-    }
-    case Op::Subu: write_rd(rs() - rt()); break;
-    case Op::And: write_rd(rs() & rt()); break;
-    case Op::Or: write_rd(rs() | rt()); break;
-    case Op::Xor: write_rd(rs() ^ rt()); break;
-    case Op::Nor: write_rd(~(rs() | rt())); break;
-    case Op::Slt:
-      write_rd(static_cast<std::int32_t>(rs()) < static_cast<std::int32_t>(rt())
-                   ? 1
-                   : 0);
-      break;
-    case Op::Sltu: write_rd(rs() < rt() ? 1 : 0); break;
-
-    case Op::Beq:
-      if (rs() == rt()) next_pc = pc_ + 4 + simm * 4;
-      break;
-    case Op::Bne:
-      if (rs() != rt()) next_pc = pc_ + 4 + simm * 4;
-      break;
-    case Op::Blez:
-      if (static_cast<std::int32_t>(rs()) <= 0) next_pc = pc_ + 4 + simm * 4;
-      break;
-    case Op::Bgtz:
-      if (static_cast<std::int32_t>(rs()) > 0) next_pc = pc_ + 4 + simm * 4;
-      break;
-
-    case Op::Addi: {
-      std::uint32_t sum = rs() + simm;
-      if (~(rs() ^ simm) & (rs() ^ sum) & 0x8000'0000u) {
-        return finish(info, StepEvent::Trapped, Trap::Overflow);
-      }
-      write_rt(sum);
-      break;
-    }
-    case Op::Addiu: write_rt(rs() + simm); break;
-    case Op::Slti:
-      write_rt(static_cast<std::int32_t>(rs()) < in.imm ? 1 : 0);
-      break;
-    case Op::Sltiu: write_rt(rs() < simm ? 1 : 0); break;
-    case Op::Andi: write_rt(rs() & zimm); break;
-    case Op::Ori: write_rt(rs() | zimm); break;
-    case Op::Xori: write_rt(rs() ^ zimm); break;
-    case Op::Lui: write_rt(zimm << 16); break;
-
-    case Op::Lb: case Op::Lbu: {
-      std::uint32_t addr = rs() + simm;
-      std::uint32_t mmio;
-      if (mmio_load(addr, mmio)) {
-        write_rt(mmio & 0xFF);
-        break;
-      }
-      auto v = mem_.load8(addr);
-      if (!v) return finish(info, StepEvent::Trapped, Trap::MemFault);
-      write_rt(in.op == Op::Lb
-                   ? static_cast<std::uint32_t>(
-                         static_cast<std::int32_t>(static_cast<std::int8_t>(*v)))
-                   : *v);
-      break;
-    }
-    case Op::Lh: case Op::Lhu: {
-      std::uint32_t addr = rs() + simm;
-      auto v = mem_.load16(addr);
-      if (!v) return finish(info, StepEvent::Trapped, Trap::MemFault);
-      write_rt(in.op == Op::Lh
-                   ? static_cast<std::uint32_t>(static_cast<std::int32_t>(
-                         static_cast<std::int16_t>(*v)))
-                   : *v);
-      break;
-    }
-    case Op::Lw: {
-      std::uint32_t addr = rs() + simm;
-      std::uint32_t mmio;
-      if (mmio_load(addr, mmio)) {
-        write_rt(mmio);
-        break;
-      }
-      auto v = mem_.load32(addr);
-      if (!v) return finish(info, StepEvent::Trapped, Trap::MemFault);
-      write_rt(*v);
-      break;
-    }
-    case Op::Sb: {
-      std::uint32_t addr = rs() + simm;
-      if (addr >= kMmioBase) return mmio_store(info, addr & ~3u, rt());
-      if (mem_.store8(addr, static_cast<std::uint8_t>(rt())) !=
-          MemFault::None) {
-        return finish(info, StepEvent::Trapped, Trap::MemFault);
-      }
-      note_store(addr);
-      break;
-    }
-    case Op::Sh: {
-      std::uint32_t addr = rs() + simm;
-      if (addr >= kMmioBase) return mmio_store(info, addr & ~3u, rt());
-      if (mem_.store16(addr, static_cast<std::uint16_t>(rt())) !=
-          MemFault::None) {
-        return finish(info, StepEvent::Trapped, Trap::MemFault);
-      }
-      note_store(addr);
-      break;
-    }
-    case Op::Sw: {
-      std::uint32_t addr = rs() + simm;
-      if (addr >= kMmioBase) return mmio_store(info, addr, rt());
-      if (mem_.store32(addr, rt()) != MemFault::None) {
-        return finish(info, StepEvent::Trapped, Trap::MemFault);
-      }
-      note_store(addr);
-      break;
-    }
-
-    case Op::J:
-      next_pc = in.target * 4;
-      break;
-    case Op::Jal:
-      regs_[31] = pc_ + 4;
-      next_pc = in.target * 4;
-      break;
-  }
-
-  if (isa::op_class(in.op) == isa::OpClass::Branch && next_pc != info.pc + 4) {
-    --mix_.branch_not_taken;
-    ++mix_.branch_taken;
-  }
-
-  pc_ = next_pc;
   info.event = StepEvent::Executed;
   return info;
 }
 
-std::uint64_t Core::exec_fused_run(std::uint64_t n) {
-  // Preconditions (caller holds a length from fused_run_len()): the
-  // fused fast path is live, pc is aligned inside the artifact, every
-  // one of the n ops is decoded and fusible (block-body: ALU, load,
-  // store), and the watchdog budget has at least n cycles of slack.
-  // Execute-first batch: each op either retires or stops the batch --
-  //   * would-trap (signed overflow, MemFault) and MMIO-range accesses
-  //     stop BEFORE the op (it does not retire; pc lands on it and the
-  //     caller's per-op path re-derives the authoritative event);
-  //   * a store into the predecoded text stops AFTER the op (it
-  //     retires; everything later would execute stale predecode).
-  // All accounting (mix/cycles/pc, hi/lo) is deferred to the epilogue
-  // and covers exactly the retired prefix -- bit-identical to that many
-  // step() calls, because step() also counts at entry and a stopped op
-  // has not entered yet.
-  const CompiledProgram::PreOp* const begin =
-      pre_ops_ + ((pc_ - pre_base_) >> 2);
-  const CompiledProgram::PreOp* op = begin;
-  const CompiledProgram::PreOp* const end = begin + n;
-  std::uint32_t* const regs = regs_.data();
-  std::uint32_t hi = hi_;
-  std::uint32_t lo = lo_;
-  std::uint64_t alu = 0;
-  std::uint64_t muldiv = 0;
-  std::uint64_t loads = 0;
-  std::uint64_t stores = 0;
-  bool dirtied = false;
-
-#if defined(__GNUC__) || defined(__clang__)
-  // Direct-threaded dispatch (labels-as-values): each superop body jumps
-  // straight to the next op's body, no per-op loop branch or switch.
-  // Non-fusible ops map to &&bad -- unreachable when the precondition
-  // holds; hitting it retires only the ops executed so far.
-  static const void* const kDispatch[isa::kNumOps] = {
-      &&do_sll,  &&do_srl,   &&do_sra,  &&do_sllv,  // Sll Srl Sra Sllv
-      &&do_srlv, &&do_srav,  &&bad,     &&bad,      // Srlv Srav Jr Jalr
-      &&bad,     &&bad,      &&do_mfhi, &&do_mflo,  // Syscall Break Mfhi Mflo
-      &&do_mult, &&do_multu, &&do_div,  &&do_divu,  // Mult Multu Div Divu
-      &&do_add,  &&do_addu,  &&do_sub,  &&do_subu,  // Add Addu Sub Subu
-      &&do_and,  &&do_or,    &&do_xor,  &&do_nor,   // And Or Xor Nor
-      &&do_slt,  &&do_sltu,  &&bad,     &&bad,      // Slt Sltu Beq Bne
-      &&bad,     &&bad,      &&do_addi, &&do_addiu, // Blez Bgtz Addi Addiu
-      &&do_slti, &&do_sltiu, &&do_andi, &&do_ori,   // Slti Sltiu Andi Ori
-      &&do_xori, &&do_lui,   &&do_lb,   &&do_lh,    // Xori Lui Lb Lh
-      &&do_lw,   &&do_lbu,   &&do_lhu,  &&do_sb,    // Lw Lbu Lhu Sb
-      &&do_sh,   &&do_sw,    &&bad,     &&bad,      // Sh Sw J Jal
-  };
-  const isa::Instr* in = &op->instr;
-
-#define SDMMON_FUSE_NEXT()                                \
-  do {                                                    \
-    if (++op == end) goto done;                           \
-    in = &op->instr;                                      \
-    goto* kDispatch[static_cast<unsigned>(in->op)];       \
-  } while (0)
-
-  goto* kDispatch[static_cast<unsigned>(in->op)];
-
-do_sll:
-  if (in->rd) regs[in->rd] = regs[in->rt] << in->shamt;
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_srl:
-  if (in->rd) regs[in->rd] = regs[in->rt] >> in->shamt;
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_sra:
-  if (in->rd) {
-    regs[in->rd] = static_cast<std::uint32_t>(
-        static_cast<std::int32_t>(regs[in->rt]) >> in->shamt);
+StepInfo Core::exec_mmio(const Instr& in, StepInfo info) {
+  const std::uint32_t addr = regs_[in.rs] + static_cast<std::uint32_t>(in.imm);
+  const std::uint32_t rt = regs_[in.rt];
+  std::uint32_t value = 0;
+  switch (in.op) {
+    case Op::Lb: case Op::Lbu:
+      if (!mmio_load(addr, value)) break;
+      if (in.rt != 0) regs_[in.rt] = value & 0xFF;
+      pc_ += 4;
+      info.event = StepEvent::Executed;
+      return info;
+    case Op::Lw:
+      if (!mmio_load(addr, value)) break;
+      if (in.rt != 0) regs_[in.rt] = value;
+      pc_ += 4;
+      info.event = StepEvent::Executed;
+      return info;
+    case Op::Sb: case Op::Sh: return mmio_store(info, addr & ~3u, rt);
+    case Op::Sw: return mmio_store(info, addr, rt);
+    default: break;  // halfword MMIO loads do not exist
   }
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_sllv:
-  if (in->rd) regs[in->rd] = regs[in->rt] << (regs[in->rs] & 31);
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_srlv:
-  if (in->rd) regs[in->rd] = regs[in->rt] >> (regs[in->rs] & 31);
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_srav:
-  if (in->rd) {
-    regs[in->rd] = static_cast<std::uint32_t>(
-        static_cast<std::int32_t>(regs[in->rt]) >> (regs[in->rs] & 31));
-  }
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_mfhi:
-  if (in->rd) regs[in->rd] = hi;
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_mflo:
-  if (in->rd) regs[in->rd] = lo;
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_mult: {
-  const std::int64_t prod =
-      static_cast<std::int64_t>(static_cast<std::int32_t>(regs[in->rs])) *
-      static_cast<std::int32_t>(regs[in->rt]);
-  lo = static_cast<std::uint32_t>(prod);
-  hi = static_cast<std::uint32_t>(static_cast<std::uint64_t>(prod) >> 32);
-  ++muldiv;
-  SDMMON_FUSE_NEXT();
-}
-do_multu: {
-  const std::uint64_t prod =
-      static_cast<std::uint64_t>(regs[in->rs]) * regs[in->rt];
-  lo = static_cast<std::uint32_t>(prod);
-  hi = static_cast<std::uint32_t>(prod >> 32);
-  ++muldiv;
-  SDMMON_FUSE_NEXT();
-}
-do_div: {
-  const std::int32_t a = static_cast<std::int32_t>(regs[in->rs]);
-  const std::int32_t b = static_cast<std::int32_t>(regs[in->rt]);
-  if (b != 0) {
-    lo = static_cast<std::uint32_t>(a / b);
-    hi = static_cast<std::uint32_t>(a % b);
-  }
-  ++muldiv;
-  SDMMON_FUSE_NEXT();
-}
-do_divu:
-  if (regs[in->rt] != 0) {
-    lo = regs[in->rs] / regs[in->rt];
-    hi = regs[in->rs] % regs[in->rt];
-  }
-  ++muldiv;
-  SDMMON_FUSE_NEXT();
-do_addu:
-  if (in->rd) regs[in->rd] = regs[in->rs] + regs[in->rt];
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_subu:
-  if (in->rd) regs[in->rd] = regs[in->rs] - regs[in->rt];
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_and:
-  if (in->rd) regs[in->rd] = regs[in->rs] & regs[in->rt];
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_or:
-  if (in->rd) regs[in->rd] = regs[in->rs] | regs[in->rt];
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_xor:
-  if (in->rd) regs[in->rd] = regs[in->rs] ^ regs[in->rt];
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_nor:
-  if (in->rd) regs[in->rd] = ~(regs[in->rs] | regs[in->rt]);
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_slt:
-  if (in->rd) {
-    regs[in->rd] = static_cast<std::int32_t>(regs[in->rs]) <
-                           static_cast<std::int32_t>(regs[in->rt])
-                       ? 1u
-                       : 0u;
-  }
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_sltu:
-  if (in->rd) regs[in->rd] = regs[in->rs] < regs[in->rt] ? 1u : 0u;
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_addiu:
-  if (in->rt) regs[in->rt] = regs[in->rs] + static_cast<std::uint32_t>(in->imm);
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_slti:
-  if (in->rt) {
-    regs[in->rt] = static_cast<std::int32_t>(regs[in->rs]) < in->imm ? 1u : 0u;
-  }
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_sltiu:
-  if (in->rt) {
-    regs[in->rt] =
-        regs[in->rs] < static_cast<std::uint32_t>(in->imm) ? 1u : 0u;
-  }
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_andi:
-  if (in->rt) {
-    regs[in->rt] = regs[in->rs] & (static_cast<std::uint32_t>(in->imm) & 0xFFFFu);
-  }
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_ori:
-  if (in->rt) {
-    regs[in->rt] = regs[in->rs] | (static_cast<std::uint32_t>(in->imm) & 0xFFFFu);
-  }
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_xori:
-  if (in->rt) {
-    regs[in->rt] = regs[in->rs] ^ (static_cast<std::uint32_t>(in->imm) & 0xFFFFu);
-  }
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_lui:
-  if (in->rt) {
-    regs[in->rt] = (static_cast<std::uint32_t>(in->imm) & 0xFFFFu) << 16;
-  }
-  ++alu;
-  SDMMON_FUSE_NEXT();
-do_add: {
-  const std::uint32_t a = regs[in->rs];
-  const std::uint32_t b = regs[in->rt];
-  const std::uint32_t sum = a + b;
-  if (~(a ^ b) & (a ^ sum) & 0x8000'0000u) goto done;  // would overflow
-  if (in->rd) regs[in->rd] = sum;
-  ++alu;
-  SDMMON_FUSE_NEXT();
-}
-do_sub: {
-  const std::uint32_t a = regs[in->rs];
-  const std::uint32_t b = regs[in->rt];
-  const std::uint32_t diff = a - b;
-  if ((a ^ b) & (a ^ diff) & 0x8000'0000u) goto done;  // would overflow
-  if (in->rd) regs[in->rd] = diff;
-  ++alu;
-  SDMMON_FUSE_NEXT();
-}
-do_addi: {
-  const std::uint32_t a = regs[in->rs];
-  const std::uint32_t simm = static_cast<std::uint32_t>(in->imm);
-  const std::uint32_t sum = a + simm;
-  if (~(a ^ simm) & (a ^ sum) & 0x8000'0000u) goto done;  // would overflow
-  if (in->rt) regs[in->rt] = sum;
-  ++alu;
-  SDMMON_FUSE_NEXT();
-}
-do_lb: {
-  const std::uint32_t addr =
-      regs[in->rs] + static_cast<std::uint32_t>(in->imm);
-  if (addr >= kMmioBase) goto done;  // MMIO read: per-op path
-  const auto v = mem_.load8(addr);
-  if (!v) goto done;  // would MemFault
-  if (in->rt) {
-    regs[in->rt] = static_cast<std::uint32_t>(
-        static_cast<std::int32_t>(static_cast<std::int8_t>(*v)));
-  }
-  ++loads;
-  SDMMON_FUSE_NEXT();
-}
-do_lbu: {
-  const std::uint32_t addr =
-      regs[in->rs] + static_cast<std::uint32_t>(in->imm);
-  if (addr >= kMmioBase) goto done;
-  const auto v = mem_.load8(addr);
-  if (!v) goto done;
-  if (in->rt) regs[in->rt] = *v;
-  ++loads;
-  SDMMON_FUSE_NEXT();
-}
-do_lh: {
-  const std::uint32_t addr =
-      regs[in->rs] + static_cast<std::uint32_t>(in->imm);
-  if (addr >= kMmioBase) goto done;
-  const auto v = mem_.load16(addr);
-  if (!v) goto done;
-  if (in->rt) {
-    regs[in->rt] = static_cast<std::uint32_t>(
-        static_cast<std::int32_t>(static_cast<std::int16_t>(*v)));
-  }
-  ++loads;
-  SDMMON_FUSE_NEXT();
-}
-do_lhu: {
-  const std::uint32_t addr =
-      regs[in->rs] + static_cast<std::uint32_t>(in->imm);
-  if (addr >= kMmioBase) goto done;
-  const auto v = mem_.load16(addr);
-  if (!v) goto done;
-  if (in->rt) regs[in->rt] = *v;
-  ++loads;
-  SDMMON_FUSE_NEXT();
-}
-do_lw: {
-  const std::uint32_t addr =
-      regs[in->rs] + static_cast<std::uint32_t>(in->imm);
-  if (addr >= kMmioBase) goto done;
-  const auto v = mem_.load32(addr);
-  if (!v) goto done;
-  if (in->rt) regs[in->rt] = *v;
-  ++loads;
-  SDMMON_FUSE_NEXT();
-}
-do_sb: {
-  const std::uint32_t addr =
-      regs[in->rs] + static_cast<std::uint32_t>(in->imm);
-  if (addr >= kMmioBase) goto done;  // MMIO store: terminal events
-  if (mem_.store8(addr, static_cast<std::uint8_t>(regs[in->rt])) !=
-      MemFault::None) {
-    goto done;
-  }
-  ++stores;
-  if (addr - pre_base_ < pre_text_bytes_) {
-    ++op;  // the dirtying store itself retires
-    dirtied = true;
-    goto done;
-  }
-  SDMMON_FUSE_NEXT();
-}
-do_sh: {
-  const std::uint32_t addr =
-      regs[in->rs] + static_cast<std::uint32_t>(in->imm);
-  if (addr >= kMmioBase) goto done;
-  if (mem_.store16(addr, static_cast<std::uint16_t>(regs[in->rt])) !=
-      MemFault::None) {
-    goto done;
-  }
-  ++stores;
-  if (addr - pre_base_ < pre_text_bytes_) {
-    ++op;
-    dirtied = true;
-    goto done;
-  }
-  SDMMON_FUSE_NEXT();
-}
-do_sw: {
-  const std::uint32_t addr =
-      regs[in->rs] + static_cast<std::uint32_t>(in->imm);
-  if (addr >= kMmioBase) goto done;
-  if (mem_.store32(addr, regs[in->rt]) != MemFault::None) goto done;
-  ++stores;
-  if (addr - pre_base_ < pre_text_bytes_) {
-    ++op;
-    dirtied = true;
-    goto done;
-  }
-  SDMMON_FUSE_NEXT();
-}
-bad:
-  goto done;  // precondition violated: retire only what already ran
-
-#undef SDMMON_FUSE_NEXT
-done:;
-
-#else   // portable fallback: switch dispatch in a tight loop
-  for (; op != end; ++op) {
-    const isa::Instr& in = op->instr;
-    const std::uint32_t rs = regs[in.rs];
-    const std::uint32_t rt = regs[in.rt];
-    std::uint32_t value = 0;
-    bool write_rd = in.rd != 0;
-    switch (in.op) {
-      case Op::Sll: value = rt << in.shamt; break;
-      case Op::Srl: value = rt >> in.shamt; break;
-      case Op::Sra:
-        value = static_cast<std::uint32_t>(
-            static_cast<std::int32_t>(rt) >> in.shamt);
-        break;
-      case Op::Sllv: value = rt << (rs & 31); break;
-      case Op::Srlv: value = rt >> (rs & 31); break;
-      case Op::Srav:
-        value = static_cast<std::uint32_t>(
-            static_cast<std::int32_t>(rt) >> (rs & 31));
-        break;
-      case Op::Mfhi: value = hi; break;
-      case Op::Mflo: value = lo; break;
-      case Op::Mult: {
-        const std::int64_t prod =
-            static_cast<std::int64_t>(static_cast<std::int32_t>(rs)) *
-            static_cast<std::int32_t>(rt);
-        lo = static_cast<std::uint32_t>(prod);
-        hi = static_cast<std::uint32_t>(static_cast<std::uint64_t>(prod) >>
-                                        32);
-        ++muldiv;
-        continue;
-      }
-      case Op::Multu: {
-        const std::uint64_t prod = static_cast<std::uint64_t>(rs) * rt;
-        lo = static_cast<std::uint32_t>(prod);
-        hi = static_cast<std::uint32_t>(prod >> 32);
-        ++muldiv;
-        continue;
-      }
-      case Op::Div: {
-        const std::int32_t a = static_cast<std::int32_t>(rs);
-        const std::int32_t b = static_cast<std::int32_t>(rt);
-        if (b != 0) {
-          lo = static_cast<std::uint32_t>(a / b);
-          hi = static_cast<std::uint32_t>(a % b);
-        }
-        ++muldiv;
-        continue;
-      }
-      case Op::Divu:
-        if (rt != 0) {
-          lo = rs / rt;
-          hi = rs % rt;
-        }
-        ++muldiv;
-        continue;
-      case Op::Addu: value = rs + rt; break;
-      case Op::Subu: value = rs - rt; break;
-      case Op::And: value = rs & rt; break;
-      case Op::Or: value = rs | rt; break;
-      case Op::Xor: value = rs ^ rt; break;
-      case Op::Nor: value = ~(rs | rt); break;
-      case Op::Slt:
-        value = static_cast<std::int32_t>(rs) < static_cast<std::int32_t>(rt)
-                    ? 1u
-                    : 0u;
-        break;
-      case Op::Sltu: value = rs < rt ? 1u : 0u; break;
-      case Op::Addiu:
-        value = rs + static_cast<std::uint32_t>(in.imm);
-        write_rd = false;
-        goto write_i;
-      case Op::Slti:
-        value = static_cast<std::int32_t>(rs) < in.imm ? 1u : 0u;
-        write_rd = false;
-        goto write_i;
-      case Op::Sltiu:
-        value = rs < static_cast<std::uint32_t>(in.imm) ? 1u : 0u;
-        write_rd = false;
-        goto write_i;
-      case Op::Andi:
-        value = rs & (static_cast<std::uint32_t>(in.imm) & 0xFFFFu);
-        write_rd = false;
-        goto write_i;
-      case Op::Ori:
-        value = rs | (static_cast<std::uint32_t>(in.imm) & 0xFFFFu);
-        write_rd = false;
-        goto write_i;
-      case Op::Xori:
-        value = rs ^ (static_cast<std::uint32_t>(in.imm) & 0xFFFFu);
-        write_rd = false;
-        goto write_i;
-      case Op::Lui:
-        value = (static_cast<std::uint32_t>(in.imm) & 0xFFFFu) << 16;
-        write_rd = false;
-        goto write_i;
-      case Op::Add: {
-        const std::uint32_t sum = rs + rt;
-        if (~(rs ^ rt) & (rs ^ sum) & 0x8000'0000u) goto fallback_done;
-        value = sum;
-        break;
-      }
-      case Op::Sub: {
-        const std::uint32_t diff = rs - rt;
-        if ((rs ^ rt) & (rs ^ diff) & 0x8000'0000u) goto fallback_done;
-        value = diff;
-        break;
-      }
-      case Op::Addi: {
-        const std::uint32_t simm = static_cast<std::uint32_t>(in.imm);
-        value = rs + simm;
-        if (~(rs ^ simm) & (rs ^ value) & 0x8000'0000u) goto fallback_done;
-        write_rd = false;
-        goto write_i;
-      }
-      case Op::Lb: case Op::Lbu: {
-        const std::uint32_t addr = rs + static_cast<std::uint32_t>(in.imm);
-        if (addr >= kMmioBase) goto fallback_done;
-        const auto v = mem_.load8(addr);
-        if (!v) goto fallback_done;
-        if (in.rt) {
-          regs[in.rt] =
-              in.op == Op::Lb
-                  ? static_cast<std::uint32_t>(static_cast<std::int32_t>(
-                        static_cast<std::int8_t>(*v)))
-                  : *v;
-        }
-        ++loads;
-        continue;
-      }
-      case Op::Lh: case Op::Lhu: {
-        const std::uint32_t addr = rs + static_cast<std::uint32_t>(in.imm);
-        if (addr >= kMmioBase) goto fallback_done;
-        const auto v = mem_.load16(addr);
-        if (!v) goto fallback_done;
-        if (in.rt) {
-          regs[in.rt] =
-              in.op == Op::Lh
-                  ? static_cast<std::uint32_t>(static_cast<std::int32_t>(
-                        static_cast<std::int16_t>(*v)))
-                  : *v;
-        }
-        ++loads;
-        continue;
-      }
-      case Op::Lw: {
-        const std::uint32_t addr = rs + static_cast<std::uint32_t>(in.imm);
-        if (addr >= kMmioBase) goto fallback_done;
-        const auto v = mem_.load32(addr);
-        if (!v) goto fallback_done;
-        if (in.rt) regs[in.rt] = *v;
-        ++loads;
-        continue;
-      }
-      case Op::Sb: case Op::Sh: case Op::Sw: {
-        const std::uint32_t addr = rs + static_cast<std::uint32_t>(in.imm);
-        if (addr >= kMmioBase) goto fallback_done;
-        MemFault fault;
-        if (in.op == Op::Sb) {
-          fault = mem_.store8(addr, static_cast<std::uint8_t>(rt));
-        } else if (in.op == Op::Sh) {
-          fault = mem_.store16(addr, static_cast<std::uint16_t>(rt));
-        } else {
-          fault = mem_.store32(addr, rt);
-        }
-        if (fault != MemFault::None) goto fallback_done;
-        ++stores;
-        if (addr - pre_base_ < pre_text_bytes_) {
-          ++op;  // the dirtying store itself retires
-          dirtied = true;
-          goto fallback_done;
-        }
-        continue;
-      }
-      default:
-        goto fallback_done;  // precondition violated
-    }
-    if (write_rd) regs[in.rd] = value;
-    ++alu;
-    continue;
-  write_i:
-    if (in.rt != 0) regs[in.rt] = value;
-    ++alu;
-  }
-fallback_done:;
-#endif  // computed goto vs switch
-
-  const std::uint64_t retired = static_cast<std::uint64_t>(op - begin);
-  hi_ = hi;
-  lo_ = lo;
-  mix_.alu += alu;
-  mix_.muldiv += muldiv;
-  mix_.load += loads;
-  mix_.store += stores;
-  cycles_ += retired;
-  packet_cycles_ += retired;
-  pc_ += static_cast<std::uint32_t>(retired * 4);
-  if (dirtied) {
-    // Deferred note_store(): drop the fast-path pointers only after the
-    // batch accounting is settled.
-    text_dirty_ = true;
-    update_predecode_live();
-  }
-  return retired;
-}
-
-void Core::retract_fused(const CompiledProgram::PreOp* ops, std::uint64_t n) {
-  // Inverse of the epilogue above for the last n ops of a fused batch:
-  // MonitoredCore calls this right before the recovery reset() when the
-  // monitor flagged a hash mid-batch, so the cumulative counters (which
-  // survive reset) match a reference core that stopped at the flagged
-  // op. Registers, hi/lo, memory, and output need no compensation --
-  // reset() re-images all of them.
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const isa::Op o = ops[i].instr.op;
-    switch (isa::op_class(o)) {
-      case isa::OpClass::Load: --mix_.load; break;
-      case isa::OpClass::Store: --mix_.store; break;
-      default:
-        if (o == isa::Op::Mult || o == isa::Op::Multu || o == isa::Op::Div ||
-            o == isa::Op::Divu) {
-          --mix_.muldiv;
-        } else {
-          --mix_.alu;
-        }
-        break;
-    }
-  }
-  cycles_ -= n;
-  packet_cycles_ -= n;
+  return finish(info, StepEvent::Trapped, Trap::MemFault);
 }
 
 Core::TraceExec Core::exec_trace(std::uint64_t n) {
-  // Preconditions (caller holds a length from trace_run_len()): the
-  // trace tier is live, a trace is anchored at the current pc, every
-  // trace op is decoded, and the watchdog budget has at least n cycles
-  // of slack. Body ops follow exec_fused_run's execute-first stop rules
-  // exactly (stop before would-trap/MMIO, stop after a text-dirtying
-  // store). Control flow resolves architecturally: jal writes $ra, the
-  // mix counts taken/not-taken by the *actual* outcome (taken iff the
-  // branch left the fall-through path, matching exec()), and a branch
-  // that resolves off the trace's predicted path retires and then
-  // side-exits -- the unexecuted tail is simply abandoned, pc follows
-  // the actual target. All accounting is deferred to the epilogue and
-  // covers exactly the retired prefix, bit-identical to that many
-  // step() calls.
+  // Preconditions (caller holds a length from trace_run_len()):
+  // compiled execution is live, a trace is anchored at the current pc,
+  // every trace op is decoded, and the watchdog budget has at least n
+  // cycles of slack. All accounting is deferred to the epilogue and
+  // covers exactly the retired prefix -- bit-identical to that many
+  // step() calls, because step() counts at entry and a stopped op has
+  // not entered yet.
   const CompiledProgram::TraceOp* const begin =
       pre_trace_ops_ + pre_trace_off_[(pc_ - pre_base_) >> 2];
   const CompiledProgram::TraceOp* op = begin;
@@ -1047,286 +529,78 @@ Core::TraceExec Core::exec_trace(std::uint64_t n) {
   std::uint32_t* const regs = regs_.data();
   std::uint32_t hi = hi_;
   std::uint32_t lo = lo_;
-  std::uint64_t alu = 0;
-  std::uint64_t muldiv = 0;
-  std::uint64_t loads = 0;
-  std::uint64_t stores = 0;
+  BodyTally body;
   std::uint64_t jumps = 0;
-  std::uint64_t btaken = 0;
-  std::uint64_t bnot = 0;
-  // pc after the most recently retired control-flow op. Body ops retire
-  // to op->pc + 4, so the epilogue consults this only when the *last*
-  // retired op redirected control flow.
+  std::uint64_t taken = 0;
+  std::uint64_t not_taken = 0;
+  // pc after the most recently retired control-flow op; body ops
+  // retire to op->pc + 4, so the epilogue consults it only when the
+  // last retired op (the one before `ctrl_end`) redirected control.
   std::uint32_t ctrl_next = 0;
+  const CompiledProgram::TraceOp* ctrl_end = nullptr;
   bool dirtied = false;
   bool side_exit = false;
 
   while (op != end) {
-    const isa::Instr& in = op->instr;
-    const std::uint32_t rs = regs[in.rs];
-    const std::uint32_t rt = regs[in.rt];
-    std::uint32_t value = 0;
-    bool write_rd = in.rd != 0;
+    const Instr& in = op->instr;
+    const Effect effect =
+        exec_body(in, regs, hi, lo, mem_, pre_base_, pre_text_bytes_, body);
+    if (effect == Effect::Retired) {
+      ++op;
+      continue;
+    }
+    if (effect == Effect::TextStore) {
+      ++op;  // the store retires; every later op would be stale
+      dirtied = true;
+      break;
+    }
+    if (effect != Effect::Control) break;  // would trap or MMIO: step()
+    const std::uint32_t fall = op->pc + 4;
     switch (in.op) {
-      case Op::Sll: value = rt << in.shamt; break;
-      case Op::Srl: value = rt >> in.shamt; break;
-      case Op::Sra:
-        value = static_cast<std::uint32_t>(
-            static_cast<std::int32_t>(rt) >> in.shamt);
+      case Op::J: ctrl_next = in.target * 4; ++jumps; break;
+      case Op::Jal:
+        regs[31] = fall;
+        ctrl_next = in.target * 4;
+        ++jumps;
         break;
-      case Op::Sllv: value = rt << (rs & 31); break;
-      case Op::Srlv: value = rt >> (rs & 31); break;
-      case Op::Srav:
-        value = static_cast<std::uint32_t>(
-            static_cast<std::int32_t>(rt) >> (rs & 31));
+      case Op::Jr: ctrl_next = regs[in.rs]; ++jumps; break;
+      case Op::Jalr:
+        ctrl_next = regs[in.rs];
+        if (in.rd != 0) regs[in.rd] = fall;
+        ++jumps;
         break;
-      case Op::Mfhi: value = hi; break;
-      case Op::Mflo: value = lo; break;
-      case Op::Mult: {
-        const std::int64_t prod =
-            static_cast<std::int64_t>(static_cast<std::int32_t>(rs)) *
-            static_cast<std::int32_t>(rt);
-        lo = static_cast<std::uint32_t>(prod);
-        hi = static_cast<std::uint32_t>(static_cast<std::uint64_t>(prod) >>
-                                        32);
-        ++muldiv;
-        ++op;
-        continue;
-      }
-      case Op::Multu: {
-        const std::uint64_t prod = static_cast<std::uint64_t>(rs) * rt;
-        lo = static_cast<std::uint32_t>(prod);
-        hi = static_cast<std::uint32_t>(prod >> 32);
-        ++muldiv;
-        ++op;
-        continue;
-      }
-      case Op::Div: {
-        const std::int32_t a = static_cast<std::int32_t>(rs);
-        const std::int32_t b = static_cast<std::int32_t>(rt);
-        if (b != 0) {
-          lo = static_cast<std::uint32_t>(a / b);
-          hi = static_cast<std::uint32_t>(a % b);
-        }
-        ++muldiv;
-        ++op;
-        continue;
-      }
-      case Op::Divu:
-        if (rt != 0) {
-          lo = rs / rt;
-          hi = rs % rt;
-        }
-        ++muldiv;
-        ++op;
-        continue;
-      case Op::Addu: value = rs + rt; break;
-      case Op::Subu: value = rs - rt; break;
-      case Op::And: value = rs & rt; break;
-      case Op::Or: value = rs | rt; break;
-      case Op::Xor: value = rs ^ rt; break;
-      case Op::Nor: value = ~(rs | rt); break;
-      case Op::Slt:
-        value = static_cast<std::int32_t>(rs) < static_cast<std::int32_t>(rt)
-                    ? 1u
-                    : 0u;
-        break;
-      case Op::Sltu: value = rs < rt ? 1u : 0u; break;
-      case Op::Addiu:
-        value = rs + static_cast<std::uint32_t>(in.imm);
-        write_rd = false;
-        goto write_i;
-      case Op::Slti:
-        value = static_cast<std::int32_t>(rs) < in.imm ? 1u : 0u;
-        write_rd = false;
-        goto write_i;
-      case Op::Sltiu:
-        value = rs < static_cast<std::uint32_t>(in.imm) ? 1u : 0u;
-        write_rd = false;
-        goto write_i;
-      case Op::Andi:
-        value = rs & (static_cast<std::uint32_t>(in.imm) & 0xFFFFu);
-        write_rd = false;
-        goto write_i;
-      case Op::Ori:
-        value = rs | (static_cast<std::uint32_t>(in.imm) & 0xFFFFu);
-        write_rd = false;
-        goto write_i;
-      case Op::Xori:
-        value = rs ^ (static_cast<std::uint32_t>(in.imm) & 0xFFFFu);
-        write_rd = false;
-        goto write_i;
-      case Op::Lui:
-        value = (static_cast<std::uint32_t>(in.imm) & 0xFFFFu) << 16;
-        write_rd = false;
-        goto write_i;
-      case Op::Add: {
-        const std::uint32_t sum = rs + rt;
-        if (~(rs ^ rt) & (rs ^ sum) & 0x8000'0000u) goto trace_done;
-        value = sum;
-        break;
-      }
-      case Op::Sub: {
-        const std::uint32_t diff = rs - rt;
-        if ((rs ^ rt) & (rs ^ diff) & 0x8000'0000u) goto trace_done;
-        value = diff;
-        break;
-      }
-      case Op::Addi: {
-        const std::uint32_t simm = static_cast<std::uint32_t>(in.imm);
-        value = rs + simm;
-        if (~(rs ^ simm) & (rs ^ value) & 0x8000'0000u) goto trace_done;
-        write_rd = false;
-        goto write_i;
-      }
-      case Op::Lb: case Op::Lbu: {
-        const std::uint32_t addr = rs + static_cast<std::uint32_t>(in.imm);
-        if (addr >= kMmioBase) goto trace_done;
-        const auto v = mem_.load8(addr);
-        if (!v) goto trace_done;
-        if (in.rt) {
-          regs[in.rt] =
-              in.op == Op::Lb
-                  ? static_cast<std::uint32_t>(static_cast<std::int32_t>(
-                        static_cast<std::int8_t>(*v)))
-                  : *v;
-        }
-        ++loads;
-        ++op;
-        continue;
-      }
-      case Op::Lh: case Op::Lhu: {
-        const std::uint32_t addr = rs + static_cast<std::uint32_t>(in.imm);
-        if (addr >= kMmioBase) goto trace_done;
-        const auto v = mem_.load16(addr);
-        if (!v) goto trace_done;
-        if (in.rt) {
-          regs[in.rt] =
-              in.op == Op::Lh
-                  ? static_cast<std::uint32_t>(static_cast<std::int32_t>(
-                        static_cast<std::int16_t>(*v)))
-                  : *v;
-        }
-        ++loads;
-        ++op;
-        continue;
-      }
-      case Op::Lw: {
-        const std::uint32_t addr = rs + static_cast<std::uint32_t>(in.imm);
-        if (addr >= kMmioBase) goto trace_done;
-        const auto v = mem_.load32(addr);
-        if (!v) goto trace_done;
-        if (in.rt) regs[in.rt] = *v;
-        ++loads;
-        ++op;
-        continue;
-      }
-      case Op::Sb: case Op::Sh: case Op::Sw: {
-        const std::uint32_t addr = rs + static_cast<std::uint32_t>(in.imm);
-        if (addr >= kMmioBase) goto trace_done;
-        MemFault fault;
-        if (in.op == Op::Sb) {
-          fault = mem_.store8(addr, static_cast<std::uint8_t>(rt));
-        } else if (in.op == Op::Sh) {
-          fault = mem_.store16(addr, static_cast<std::uint16_t>(rt));
-        } else {
-          fault = mem_.store32(addr, rt);
-        }
-        if (fault != MemFault::None) goto trace_done;
-        ++stores;
-        ++op;  // the store retires even when it dirties the text
-        if (addr - pre_base_ < pre_text_bytes_) {
-          dirtied = true;
-          goto trace_done;
-        }
-        continue;
-      }
-      case Op::Beq: case Op::Bne: case Op::Blez: case Op::Bgtz: {
-        bool cond;
-        if (in.op == Op::Beq) {
-          cond = rs == rt;
-        } else if (in.op == Op::Bne) {
-          cond = rs != rt;
-        } else if (in.op == Op::Blez) {
-          cond = static_cast<std::int32_t>(rs) <= 0;
-        } else {
-          cond = static_cast<std::int32_t>(rs) > 0;
-        }
-        const std::uint32_t fall = op->pc + 4;
+      default: {  // conditional branch (formation admits no traps)
         const std::uint32_t target =
             fall + static_cast<std::uint32_t>(in.imm) * 4;
-        const std::uint32_t actual = cond ? target : fall;
-        const std::uint32_t predicted =
-            (op->flags & CompiledProgram::kTracePredTaken) ? target : fall;
-        // exec() counts a branch taken iff it left the fall-through
-        // path (a taken branch-to-next still counts not-taken).
-        if (actual != fall) {
-          ++btaken;
+        ctrl_next = branch_taken(in, regs) ? target : fall;
+        if (ctrl_next != fall) {
+          ++taken;
         } else {
-          ++bnot;
+          ++not_taken;
         }
-        ctrl_next = actual;
-        ++op;  // the branch itself always retires
-        if (actual != predicted) {
-          side_exit = true;
-          goto trace_done;
-        }
-        continue;  // next trace op sits at `actual`
+        const bool pred = (op->flags & CompiledProgram::kTracePredTaken) != 0;
+        side_exit = ctrl_next != (pred ? target : fall);
+        break;
       }
-      case Op::J:
-        ctrl_next = in.target * 4;
-        ++jumps;
-        ++op;
-        continue;
-      case Op::Jal:
-        regs[31] = op->pc + 4;
-        ctrl_next = in.target * 4;
-        ++jumps;
-        ++op;
-        continue;
-      default:
-        goto trace_done;  // precondition violated: retire what ran
     }
-    if (write_rd) regs[in.rd] = value;
-    ++alu;
-    ++op;
-    continue;
-  write_i:
-    if (in.rt != 0) regs[in.rt] = value;
-    ++alu;
-    ++op;
+    ctrl_end = ++op;  // the control op itself always retires
+    if (side_exit) break;
   }
-trace_done:;
 
   const std::uint64_t retired = static_cast<std::uint64_t>(op - begin);
   hi_ = hi;
   lo_ = lo;
-  mix_.alu += alu;
-  mix_.muldiv += muldiv;
-  mix_.load += loads;
-  mix_.store += stores;
+  mix_.alu += body.alu;
+  mix_.muldiv += body.muldiv;
+  mix_.load += body.load;
+  mix_.store += body.store;
   mix_.jump += jumps;
-  mix_.branch_taken += btaken;
-  mix_.branch_not_taken += bnot;
+  mix_.branch_taken += taken;
+  mix_.branch_not_taken += not_taken;
   cycles_ += retired;
   packet_cycles_ += retired;
-  if (retired > 0) {
-    const CompiledProgram::TraceOp& last = begin[retired - 1];
-    switch (isa::op_class(last.instr.op)) {
-      case isa::OpClass::Branch:
-      case isa::OpClass::Jump:
-      case isa::OpClass::JumpLink:
-        pc_ = ctrl_next;
-        break;
-      default:
-        // Body ops fall through; a stopped-before op always sits at
-        // last.pc + 4 (trace pcs are contiguous between control ops).
-        pc_ = last.pc + 4;
-        break;
-    }
-  }
+  if (retired > 0) pc_ = op == ctrl_end ? ctrl_next : op[-1].pc + 4;
   if (dirtied) {
-    // Deferred note_store(), as in exec_fused_run.
     text_dirty_ = true;
     update_predecode_live();
   }
@@ -1335,41 +609,21 @@ trace_done:;
 
 void Core::retract_trace(const CompiledProgram::TraceOp* ops, std::uint64_t n,
                          bool last_mispredicted) {
-  // Trace analog of retract_fused: un-count the last n ops of a
-  // just-executed trace dispatch right before the recovery reset().
-  // Control-flow attribution: every overshoot branch retired along its
-  // predicted path (taken iff its static flag says taken -- a
-  // predicted-taken branch is backward, so it always left the
-  // fall-through path, and a predicted-not-taken branch that followed
-  // prediction never did), EXCEPT a side-exiting branch, which is
-  // always the final retired op and resolved the other way.
+  // Every overshoot branch retired along its predicted path (taken iff
+  // its static flag says taken -- a predicted-taken branch is backward,
+  // so it always left the fall-through path, and a predicted-not-taken
+  // branch that followed prediction never did), EXCEPT a side-exiting
+  // branch, which is always the final retired op and resolved the
+  // other way. Registers, hi/lo, memory, and output need no
+  // compensation -- the recovery reset() re-images all of them.
   for (std::uint64_t i = 0; i < n; ++i) {
-    const isa::Op o = ops[i].instr.op;
-    switch (isa::op_class(o)) {
-      case isa::OpClass::Load: --mix_.load; break;
-      case isa::OpClass::Store: --mix_.store; break;
-      case isa::OpClass::Branch: {
-        bool taken = (ops[i].flags & CompiledProgram::kTracePredTaken) != 0;
-        if (i + 1 == n && last_mispredicted) taken = !taken;
-        if (taken) {
-          --mix_.branch_taken;
-        } else {
-          --mix_.branch_not_taken;
-        }
-        break;
-      }
-      case isa::OpClass::Jump:
-      case isa::OpClass::JumpLink:
-        --mix_.jump;
-        break;
-      default:
-        if (o == isa::Op::Mult || o == isa::Op::Multu || o == isa::Op::Div ||
-            o == isa::Op::Divu) {
-          --mix_.muldiv;
-        } else {
-          --mix_.alu;
-        }
-        break;
+    const Op o = ops[i].instr.op;
+    if (isa::op_class(o) == isa::OpClass::Branch) {
+      bool taken = (ops[i].flags & CompiledProgram::kTracePredTaken) != 0;
+      if (i + 1 == n && last_mispredicted) taken = !taken;
+      --(taken ? mix_.branch_taken : mix_.branch_not_taken);
+    } else {
+      --mix_counter(mix_, o);
     }
   }
   cycles_ -= n;
@@ -1377,104 +631,14 @@ void Core::retract_trace(const CompiledProgram::TraceOp* ops, std::uint64_t n,
 }
 
 StepInfo Core::run(std::uint64_t max_steps) {
-  StepInfo last;
-  std::uint64_t steps = 0;
-  while (steps < max_steps) {
-    // Trace dispatch (tier 4, docs/EXECUTION.md): when a trace is
-    // anchored at the current pc, retire the whole superblock -- body
-    // ops, predicted branches, unconditional jumps -- in a single
-    // exec_trace call. A side exit (branch resolved off the predicted
-    // path) is normal-form: the branch retired, pc follows the actual
-    // target, and dispatch simply restarts there.
-    std::uint64_t tlen = trace_run_len();
-    if (tlen > max_steps - steps) tlen = max_steps - steps;
-    if (tlen > 0) {
-      const std::uint32_t toff = pre_trace_off_[(pc_ - pre_base_) >> 2];
-      const TraceExec tr = exec_trace(tlen);
-      steps += tr.retired;
-      if (tr.retired > 0) {
-        // compiled_ tables, not the cached pointers: a text-dirtying
-        // store at the end of the dispatch just nulled them.
-        const CompiledProgram::TraceOp& lastop =
-            compiled_->trace_ops_data()[toff + tr.retired - 1];
-        last.pc = lastop.pc;
-        last.word = lastop.word;
-        last.event = StepEvent::Executed;
-        last.trap = Trap::None;
-      }
-      if (tr.retired == tlen || tr.side_exit) continue;
-      // Short dispatch for a non-side-exit reason: the op at pc traps,
-      // touches MMIO, or follows a text-dirtying store. Fall through to
-      // the fused/per-op dispatchers in this same iteration.
+  struct AcceptAll {
+    bool on_trace(const CompiledProgram::TraceOp*, const std::uint8_t*,
+                  TraceExec) {
+      return true;
     }
-    // Fused dispatch (the block-fused tier, docs/EXECUTION.md): when a
-    // fusible run starts at the current pc, retire the whole block body
-    // in a single exec_fused_run call. fused_run_len already folds in
-    // the batch-level preconditions (runnable, artifact range/alignment,
-    // watchdog slack); the executor itself stops early at would-trap
-    // ops, MMIO accesses, and text-dirtying stores, reporting the exact
-    // retired count.
-    std::uint64_t fused = fused_run_len();
-    if (fused > max_steps - steps) fused = max_steps - steps;
-    if (fused > 0) {
-      const std::size_t idx = (pc_ - pre_base_) >> 2;
-      const std::uint64_t retired = exec_fused_run(fused);
-      steps += retired;
-      if (retired > 0) {
-        // compiled_->ops_data(), not pre_ops_: a text-dirtying store at
-        // the end of the batch just nulled the fast-path pointers.
-        last.pc = pc_ - 4;
-        last.word = compiled_->ops_data()[idx + retired - 1].word;
-        last.event = StepEvent::Executed;
-        last.trap = Trap::None;
-      }
-      if (retired == fused) continue;
-      // Short batch: the op at pc needs full per-op dispatch (it traps,
-      // touches MMIO, or follows a text-dirtying store). Fall through
-      // to step() in this same iteration -- re-dispatching would spin
-      // on a zero-progress batch forever.
-    }
-    // Dispatch: one full step() resolves every edge case (not runnable,
-    // watchdog, sentinel return, fetch outside the artifact, dirty text).
-    // When the predecoded fast path is live and the dispatched op did not
-    // end its basic block, the tight loop below executes the rest of the
-    // straight-line block without re-entering any of those checks: a
-    // non-block-end op is by construction a falling-through, in-range,
-    // decodable op, so only the watchdog and the self-modifying-store
-    // flag need re-testing per op.
-    const CompiledProgram::PreOp* ops = pre_ops_;
-    std::uint32_t off = pc_ - pre_base_;
-    const bool superblock =
-        ops != nullptr && runnable_ && pc_ != kReturnSentinel &&
-        off < pre_text_bytes_ && (off & 3u) == 0;
-    last = step();
-    ++steps;
-    if (last.event != StepEvent::Executed) return last;
-    if (!superblock) continue;
-    while (steps < max_steps &&
-           (ops[off >> 2].flags & CompiledProgram::kBlockEnd) == 0 &&
-           !text_dirty_ && packet_cycles_ < watchdog_budget_) {
-      off += 4;  // non-block-end ops always fall through
-      if (pre_run_ != nullptr && pre_run_[off >> 2] != 0) {
-        // A fusible run starts here: bounce to the fused dispatcher
-        // above instead of retiring its ops one exec() at a time.
-        break;
-      }
-      const CompiledProgram::PreOp& op = ops[off >> 2];
-      StepInfo info;
-      info.pc = pc_;
-      info.word = op.word;
-      if ((op.flags & CompiledProgram::kDecoded) == 0) {
-        // Fell through into an undecodable word (it ends its own block
-        // but can still be entered): trap exactly as step() would.
-        return finish(info, StepEvent::Trapped, Trap::DecodeFault);
-      }
-      last = exec(op.instr, info);
-      ++steps;
-      if (last.event != StepEvent::Executed) return last;
-    }
-  }
-  return last;
+    bool on_step(const StepInfo&) { return true; }
+  } sink;
+  return dispatch(sink, max_steps);
 }
 
 }  // namespace sdmmon::np

@@ -87,7 +87,8 @@ class Core {
   /// Halted/Trapped) the core refuses to step until reset().
   StepInfo step();
 
-  /// Run until a terminal event or `max_steps`; returns the last StepInfo.
+  /// Run until a terminal event or `max_steps` retirements (dispatch()
+  /// with a sink that accepts everything); returns the last StepInfo.
   StepInfo run(std::uint64_t max_steps = 1'000'000);
 
   bool runnable() const { return runnable_; }
@@ -119,109 +120,32 @@ class Core {
     return compiled_;
   }
 
-  /// Toggle the predecoded fast path at runtime (differential oracles and
-  /// head-to-head benches run the same core interpreted). Sticky across
-  /// load_program/reset -- it is a property of the core, not the program.
-  /// Disabling predecode also disables block fusion (the fused tables
-  /// live in the artifact the toggle turns off).
+  /// Toggle compiled execution at runtime -- the core's one execution
+  /// switch (docs/EXECUTION.md). On: step() fetches predecoded ops and
+  /// run()/MonitoredCore dispatch whole traces. Off: the word-at-a-time
+  /// interpreter, the differential oracle. Sticky across
+  /// load_program/reset -- it is a property of the core, not the
+  /// program.
   void set_predecode_enabled(bool on) {
     predecode_enabled_ = on;
     update_predecode_live();
   }
   bool predecode_enabled() const { return predecode_enabled_; }
 
-  /// True while step()/run() actually execute predecoded ops: an artifact
-  /// is attached, the fast path is enabled, and no store has dirtied the
-  /// text image since the last full reset()/load_program().
+  /// True while compiled execution is live: an artifact is attached,
+  /// the toggle is on, and no store has dirtied the text image since
+  /// the last full reset()/load_program().
   bool predecode_live() const { return pre_ops_ != nullptr; }
-
-  /// Toggle the block-fused tier independently of predecode (the middle
-  /// tier of the execution pipeline, docs/EXECUTION.md): when off, runs
-  /// are never fused but the predecoded per-op fast path stays live.
-  /// Sticky across load_program/reset, like set_predecode_enabled.
-  void set_block_fuse_enabled(bool on) {
-    fuse_enabled_ = on;
-    update_predecode_live();
-  }
-  bool block_fuse_enabled() const { return fuse_enabled_; }
-
-  /// True while run() may retire fused block bodies: predecode is live
-  /// AND fusion is enabled (dirty text or a detached artifact kills
-  /// both).
-  bool block_fuse_live() const { return pre_run_ != nullptr; }
-
-  /// Length of the fused block body dispatchable at the current pc: the
-  /// artifact's precomputed run length, clamped to the remaining
-  /// watchdog budget. 0 whenever fused execution is not currently
-  /// possible (fusion not live, core not runnable, pc outside or
-  /// misaligned in the artifact, current op not fusible, budget
-  /// exhausted) -- callers fall back to per-op dispatch, which
-  /// re-derives the authoritative event. Ops of a returned run are
-  /// *attemptable*, not guaranteed to retire: exec_fused_run() stops
-  /// early at would-trap ops, MMIO accesses, and text-dirtying stores
-  /// and reports the exact retired count. The clamp keeps the watchdog
-  /// from firing mid-run.
-  std::uint64_t fused_run_len() const {
-    if (pre_run_ == nullptr || !runnable_) return 0;
-    const std::uint32_t off = pc_ - pre_base_;
-    if (off >= pre_text_bytes_ || (off & 3u) != 0) return 0;
-    if (packet_cycles_ >= watchdog_budget_) return 0;
-    const std::uint64_t slack = watchdog_budget_ - packet_cycles_;
-    const std::uint64_t run = pre_run_[off >> 2];
-    return run < slack ? run : slack;
-  }
-
-  /// Retire up to `n` ops of the fused block body at the current pc in
-  /// one straight-line dispatch (computed-goto superop executor) and
-  /// return how many actually retired. The caller must hold a run
-  /// length from fused_run_len() with 0 < n <= that length. The batch
-  /// stops *before* (the offending op does not retire, pc points at it)
-  ///   - any op that would trap (overflow, MemFault), and
-  ///   - any load/store whose address reaches MMIO (>= kMmioBase):
-  ///     MMIO reads must observe up-to-date cycle counters and MMIO
-  ///     stores raise terminal packet events, so both take the per-op
-  ///     exec() path;
-  /// and stops *after* a store that dirties the predecoded text (the
-  /// store itself retires; every later op would execute a stale
-  /// predecode). Cycles, the retired mix, and pc advance exactly as
-  /// `retired` individual step() calls would. MonitoredCore executes
-  /// first, then feeds the monitor exactly `retired` precomputed
-  /// hashes -- see docs/EXECUTION.md for the equivalence argument.
-  std::uint64_t exec_fused_run(std::uint64_t n);
-
-  /// Un-retire the last `n` ops of a just-executed fused run: subtracts
-  /// their cycles and instruction-mix classes (`ops` points at the
-  /// PreOps of the overshoot, all body-class). Used only by
-  /// MonitoredCore's attack path: when the monitor flags hash m of a
-  /// fused batch, the reference interleaving executes exactly m+1 ops
-  /// before the recovery reset; the reset re-images registers and
-  /// memory anyway, so retracting the surviving cumulative counters
-  /// makes the fused batch bit-identical to it.
-  void retract_fused(const CompiledProgram::PreOp* ops, std::uint64_t n);
-
-  /// Toggle the trace (superblock) tier, the fourth pipeline tier
-  /// (docs/EXECUTION.md). Sticky across load_program/reset like the
-  /// other toggles. Traces ride on the block-fused tier: disabling
-  /// predecode or fusion also disables traces.
-  void set_trace_enabled(bool on) {
-    trace_enabled_ = on;
-    update_predecode_live();
-  }
-  bool trace_enabled() const { return trace_enabled_; }
-
-  /// True while run() may retire whole traces: fusion is live AND the
-  /// trace tier is enabled.
-  bool trace_live() const { return pre_trace_len_ != nullptr; }
 
   /// Length of the trace dispatchable at the current pc, clamped to the
   /// remaining watchdog budget; 0 whenever trace execution is not
-  /// currently possible (tier not live, core not runnable, pc outside
-  /// or misaligned in the artifact, no trace anchored at pc, budget
-  /// exhausted). Like fused_run_len(), returned ops are *attemptable*:
+  /// currently possible (compiled execution not live, core not
+  /// runnable, pc outside or misaligned in the artifact, no trace
+  /// anchored at pc, budget exhausted). Returned ops are *attemptable*:
   /// exec_trace() stops early at would-trap ops, MMIO accesses,
   /// text-dirtying stores, and mispredicted branches (side exits).
   std::uint64_t trace_run_len() const {
-    if (pre_trace_len_ == nullptr || !runnable_) return 0;
+    if (pre_ops_ == nullptr || !runnable_) return 0;
     const std::uint32_t off = pc_ - pre_base_;
     if (off >= pre_text_bytes_ || (off & 3u) != 0) return 0;
     const std::uint64_t len = pre_trace_len_[off >> 2];
@@ -243,26 +167,53 @@ class Core {
 
   /// Retire up to `n` ops of the trace anchored at the current pc in
   /// one dispatch and report how many retired. The caller must hold a
-  /// length from trace_run_len() with 0 < n <= that length. Body ops
-  /// follow exec_fused_run()'s stop rules exactly (stop before
-  /// would-trap/MMIO ops, stop after a text-dirtying store); branches
-  /// and j/jal resolve architecturally -- jal writes $ra, the mix
-  /// counts taken/not-taken by the *actual* outcome -- and a branch
-  /// that leaves the predicted path stops the dispatch as a side exit
-  /// after retiring. Cycles, mix, and pc advance exactly as `retired`
-  /// individual step() calls would.
+  /// length from trace_run_len() with 0 < n <= that length. The
+  /// dispatch stops *before* (the op does not retire, pc points at it)
+  ///   - any op that would trap (overflow, MemFault), and
+  ///   - any load/store whose address reaches MMIO (>= kMmioBase):
+  ///     MMIO reads must observe up-to-date cycle counters and MMIO
+  ///     stores raise terminal packet events, so both take step();
+  /// and stops *after* a store that dirties the predecoded text (every
+  /// later op would execute a stale predecode) and after a branch that
+  /// leaves the predicted path (a side exit). Control flow resolves
+  /// architecturally -- jal/jalr write their link register, the mix
+  /// counts taken/not-taken by the *actual* outcome. Cycles, mix, and
+  /// pc advance exactly as `retired` individual step() calls would.
   TraceExec exec_trace(std::uint64_t n);
 
-  /// Un-retire the last `n` ops of a just-executed trace (the
-  /// monitor-unchecked overshoot past a flagged hash), the trace tier's
-  /// analog of retract_fused(). `ops` points at the TraceOps of the
-  /// overshoot. `last_mispredicted` must be the dispatch's side_exit
-  /// flag: a side-exiting branch is always the *last* retired op and is
-  /// the only op that retired against its prediction, so it is the only
-  /// op whose taken/not-taken mix attribution differs from its static
-  /// flag.
+  /// Un-retire the last `n` ops of a just-executed trace: the
+  /// monitor-unchecked overshoot past a flagged hash. Subtracts their
+  /// cycles and instruction-mix classes (`ops` points at the TraceOps
+  /// of the overshoot). `last_mispredicted` must be the dispatch's
+  /// side_exit flag: a side-exiting branch is always the *last* retired
+  /// op and the only one that retired against its prediction. Used only
+  /// by MonitoredCore's attack path: the reference interleaving
+  /// executes exactly up to the flagged op before the recovery reset;
+  /// the reset re-images registers and memory anyway, so retracting the
+  /// surviving cumulative counters makes the dispatch bit-identical.
   void retract_trace(const CompiledProgram::TraceOp* ops, std::uint64_t n,
                      bool last_mispredicted);
+
+  /// The one dispatch loop behind run() and MonitoredCore: retire the
+  /// trace anchored at pc when there is one, else one step(), until a
+  /// terminal event, `max_steps` retirements, or the sink refuses.
+  /// After every trace dispatch it calls
+  ///   bool Sink::on_trace(const TraceOp* ops, const std::uint8_t* hashes,
+  ///                       TraceExec done)
+  /// (ops/hashes of the dispatched trace, `done.retired` of them
+  /// retired) and after every step() `bool Sink::on_step(const
+  /// StepInfo&)`; a false return stops the loop at once. Returns the
+  /// last StepInfo (a trace's last retired op reports as Executed).
+  template <class Sink>
+  StepInfo dispatch(Sink& sink, std::uint64_t max_steps);
+
+  /// Left from the retired block-fused executor for
+  /// perfbench/traced_replay.cpp only (delete with its next revision):
+  /// no fused run is ever dispatchable, so exec_fused_run's
+  /// precondition 0 < n <= fused_run_len() never holds and it retires
+  /// nothing.
+  std::uint64_t fused_run_len() const { return 0; }
+  std::uint64_t exec_fused_run(std::uint64_t /*n*/) { return 0; }
 
   /// True once a store landed in the predecoded text range (self-modifying
   /// code or injection). Cleared only by the re-imaging reset paths --
@@ -298,40 +249,28 @@ class Core {
   void update_predecode_live();
   StepInfo exec(const isa::Instr& in, StepInfo info);
   StepInfo finish(StepInfo info, StepEvent event, Trap trap = Trap::None);
+  StepInfo exec_mmio(const isa::Instr& in, StepInfo info);
   StepInfo mmio_store(StepInfo info, std::uint32_t addr, std::uint32_t value);
   bool mmio_load(std::uint32_t addr, std::uint32_t& value) const;
-  /// Store landed at `addr`: dirty the artifact if it hit predecoded text.
-  void note_store(std::uint32_t addr) {
-    if (addr - pre_base_ < pre_text_bytes_) {
-      text_dirty_ = true;
-      update_predecode_live();
-    }
-  }
 
   Memory mem_;
   isa::Program program_;
   bool program_loaded_ = false;
   // Shared immutable predecode artifact plus cached raw views of it (the
-  // per-step path dereferences no smart pointer). pre_ops_ is non-null
-  // only while the fast path is live; pre_base_/pre_text_bytes_ describe
-  // the predecoded range whenever an artifact is attached (store-dirty
-  // tracking stays armed even when the fast path is toggled off).
+  // hot path dereferences no smart pointer). pre_ops_ and the trace
+  // tables are non-null only while compiled execution is live;
+  // pre_base_/pre_text_bytes_ describe the predecoded range whenever an
+  // artifact is attached (store-dirty tracking stays armed even when the
+  // toggle is off).
   std::shared_ptr<const CompiledProgram> compiled_;
   const CompiledProgram::PreOp* pre_ops_ = nullptr;
-  // Fused-run length table, non-null only while pre_ops_ is live AND
-  // fusion is enabled (the block-fused tier rides on the predecoded
-  // artifact and dies with it).
-  const std::uint8_t* pre_run_ = nullptr;
-  // Trace tables, non-null only while pre_run_ is live AND the trace
-  // tier is enabled (tier 4 rides on tier 3).
   const std::uint8_t* pre_trace_len_ = nullptr;
   const std::uint32_t* pre_trace_off_ = nullptr;
   const CompiledProgram::TraceOp* pre_trace_ops_ = nullptr;
+  const std::uint8_t* pre_trace_hashes_ = nullptr;
   std::uint32_t pre_base_ = 0;
   std::uint32_t pre_text_bytes_ = 0;
   bool predecode_enabled_ = true;
-  bool fuse_enabled_ = true;
-  bool trace_enabled_ = true;
   bool text_dirty_ = false;
   std::array<std::uint32_t, 32> regs_{};
   std::uint32_t pc_ = 0;
@@ -347,6 +286,42 @@ class Core {
   bool has_output_ = false;
   std::uint32_t out_port_ = 0;
 };
+
+template <class Sink>
+StepInfo Core::dispatch(Sink& sink, std::uint64_t max_steps) {
+  StepInfo last;
+  std::uint64_t steps = 0;
+  while (steps < max_steps) {
+    std::uint64_t len = trace_run_len();
+    if (len > 0) {
+      if (len > max_steps - steps) len = max_steps - steps;
+      // Resolve the trace before exec_trace moves pc (and, after a
+      // text-dirtying store, nulls the cached table pointers; the
+      // artifact itself stays alive in compiled_).
+      const std::uint32_t at = pre_trace_off_[(pc_ - pre_base_) >> 2];
+      const CompiledProgram::TraceOp* ops = pre_trace_ops_ + at;
+      const std::uint8_t* hashes = pre_trace_hashes_ + at;
+      const TraceExec done = exec_trace(len);
+      steps += done.retired;
+      if (done.retired > 0) {
+        const CompiledProgram::TraceOp& op = ops[done.retired - 1];
+        last = {op.pc, op.word, StepEvent::Executed, Trap::None};
+      }
+      if (!sink.on_trace(ops, hashes, done)) return last;
+      // A full or side-exiting dispatch leaves pc where the next trace
+      // (or step) starts. A short one stopped before an op that traps,
+      // touches MMIO, or follows a text-dirtying store: step() it here,
+      // or the next dispatch would make no progress.
+      if (done.retired == len || done.side_exit) continue;
+    }
+    last = step();
+    ++steps;
+    if (!sink.on_step(last) || last.event != StepEvent::Executed) {
+      return last;
+    }
+  }
+  return last;
+}
 
 }  // namespace sdmmon::np
 

@@ -1,6 +1,7 @@
 #include "np/monitored_core.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -118,138 +119,98 @@ PacketResult MonitoredCore::run_packet(
   monitor_->reset();
   core_.deliver_packet(packet);
 
-  for (;;) {
-    // Trace tier (docs/EXECUTION.md, tier 4): when a trace is anchored
-    // at the current pc, retire the whole superblock in one exec_trace
-    // dispatch, then feed the monitor the trace's precomputed hash
-    // lane -- exactly as many hashes as ops retired. Same execute-first
-    // equivalence argument as the fused tier below; the one new case is
-    // the side exit, where the mispredicted branch is the last retired
-    // op (its hash is fed like any other) and dispatch resumes at the
-    // actual target.
-    const std::uint64_t tlen = core_.trace_run_len();
-    if (tlen > 0) {
-      // Resolve the trace ref before exec_trace moves pc.
-      const CompiledProgram::TraceRef ref = pre_->trace_at(core_.pc());
-      const Core::TraceExec tr = core_.exec_trace(tlen);
+  // Execute first, then feed the monitor the hashes of exactly the ops
+  // that retired (docs/EXECUTION.md). This is bit-identical to the
+  // per-op interleaving: retired ops never read monitor state, ops that
+  // would trap or touch MMIO stop a trace *before* executing (they
+  // retire through step(), hashed one at a time), and on a mismatch at
+  // slice index m the overshoot m+1.. touched only state the recovery
+  // reset() re-images, so retracting its cumulative counters restores
+  // equality with the reference before the reset.
+  struct MonitorSink {
+    MonitoredCore& self;
+    PacketResult& result;
+    bool attack = false;
+
+    bool on_trace(const CompiledProgram::TraceOp* ops,
+                  const std::uint8_t* hashes, Core::TraceExec done) {
       ++result.trace_dispatches;
-      if (tr.side_exit) ++result.trace_side_exits;
-      if (tr.retired > 0) {
-        const std::size_t ok = monitor_->advance(
-            ref.hashes, static_cast<std::size_t>(tr.retired),
-            /*stop_on_mismatch=*/enforce_);
-        if (ok < tr.retired) {
-          core_.retract_trace(ref.ops + ok + 1, tr.retired - (ok + 1),
-                              tr.side_exit);
-          result.instructions += ok + 1;
-          result.outcome = PacketOutcome::AttackDetected;
-          core_.reset();  // paper's recovery: reset stack, next packet
-          return result;
-        }
-        result.instructions += tr.retired;
+      if (done.side_exit) ++result.trace_side_exits;
+      if (done.retired == 0) return true;
+      const std::size_t ok = self.monitor_->advance(
+          hashes, static_cast<std::size_t>(done.retired),
+          /*stop_on_mismatch=*/self.enforce_);
+      if (ok < done.retired) {
+        self.core_.retract_trace(ops + ok + 1, done.retired - (ok + 1),
+                                 done.side_exit);
+        result.instructions += ok + 1;
+        attack = true;
+        return false;
       }
-      if (tr.retired == tlen || tr.side_exit) continue;
-      // Short dispatch for a non-side-exit reason: the op now at pc
-      // needs the fused or per-op path below.
+      result.instructions += done.retired;
+      return true;
     }
 
-    // Block-fused tier (docs/EXECUTION.md): when a fusible run (basic
-    // block body) starts at the current pc, retire it in one superop
-    // dispatch FIRST, then feed the monitor the precomputed hash slice
-    // of exactly the ops that retired. Execute-first stays bit-identical
-    // to the per-op interleaving:
-    //   * fused body ops never read monitor state, so reordering the
-    //     hash checks after the batch is unobservable to the core;
-    //   * ops that would trap or touch MMIO stop the batch *before*
-    //     executing and feed no hash -- exactly like the reference,
-    //     where a trapped op does not retire;
-    //   * on a mismatch at slice index m, the reference executed ops
-    //     0..m and then reset: the batch overshoot (ops m+1..) touched
-    //     only state the recovery reset() re-images, so retracting its
-    //     surviving cumulative counters (Core::retract_fused) restores
-    //     bit-equality before the reset.
-    const std::uint64_t fused = core_.fused_run_len();
-    if (fused > 0) {
-      const std::size_t idx = (core_.pc() - pre_->text_base()) >> 2;
-      const std::uint64_t retired = core_.exec_fused_run(fused);
-      if (retired > 0) {
-        const std::size_t ok = monitor_->advance(
-            pre_->hash_lane_data() + idx, static_cast<std::size_t>(retired),
-            /*stop_on_mismatch=*/enforce_);
-        if (ok < retired) {
-          core_.retract_fused(pre_->ops_data() + idx + ok + 1,
-                              retired - (ok + 1));
-          result.instructions += ok + 1;
-          result.outcome = PacketOutcome::AttackDetected;
-          core_.reset();  // paper's recovery: reset stack, next packet
-          return result;
-        }
-        result.instructions += retired;
-      }
-      if (retired == fused) continue;
-      // Short batch: the op now at pc traps, touches MMIO, or follows a
-      // text-dirtying store -- it needs the per-op path below, which
-      // re-derives the authoritative event and hash source.
-    }
-
-    StepInfo info = core_.step();
-
-    const bool retired = info.event == StepEvent::Executed ||
-                         info.event == StepEvent::PacketOut ||
-                         info.event == StepEvent::Halted ||
-                         (info.event == StepEvent::PacketDone &&
-                          info.pc != kReturnSentinel);
-    if (retired) {
+    bool on_step(const StepInfo& info) {
+      const bool retired = info.event == StepEvent::Executed ||
+                           info.event == StepEvent::PacketOut ||
+                           info.event == StepEvent::Halted ||
+                           (info.event == StepEvent::PacketDone &&
+                            info.pc != kReturnSentinel);
+      if (!retired) return true;
       ++result.instructions;
       // While the predecoded image is clean, info.word for any pc inside
-      // the artifact IS the installed word, so the precomputed hash can
-      // feed the monitor directly -- no Merkle-tree evaluation. Retired
-      // instructions outside the artifact (runtime-materialized code,
-      // data-region jumps) and any execution after a self-modifying
-      // store go through the real hash unit.
+      // the artifact IS the installed word, so the precomputed hash
+      // feeds the monitor directly. Instructions outside the artifact
+      // (runtime-materialized code, data-region jumps) and any execution
+      // after a self-modifying store go through the real hash unit.
       monitor::Verdict verdict;
       std::uint8_t hashed;
-      if (pre_ != nullptr && core_.predecode_live() &&
-          pre_->monitor_hash(info.pc, hashed)) {
-        verdict = monitor_->on_hashed(hashed);
+      if (self.pre_ != nullptr && self.core_.predecode_live() &&
+          self.pre_->monitor_hash(info.pc, hashed)) {
+        verdict = self.monitor_->on_hashed(hashed);
       } else {
-        verdict = monitor_->on_instruction(info.word);
+        verdict = self.monitor_->on_instruction(info.word);
       }
-      if (verdict == monitor::Verdict::Mismatch && enforce_) {
-        result.outcome = PacketOutcome::AttackDetected;
-        core_.reset();  // paper's recovery: reset stack, next packet
-        return result;
-      }
+      attack = verdict == monitor::Verdict::Mismatch && self.enforce_;
+      return !attack;
     }
+  } sink{*this, result};
 
-    switch (info.event) {
-      case StepEvent::Executed:
-        continue;
-      case StepEvent::PacketOut:
-        result.outcome = PacketOutcome::Forwarded;
-        result.output = core_.output();
-        result.output_port = core_.output_port();
-        return result;
-      case StepEvent::PacketDone:
-        // A sentinel return must be sanctioned by the monitoring graph.
-        if (info.pc == kReturnSentinel && !monitor_->exit_allowed() &&
-            enforce_) {
-          result.outcome = PacketOutcome::AttackDetected;
-          core_.reset();
-          return result;
-        }
-        result.outcome = PacketOutcome::Dropped;
-        return result;
-      case StepEvent::Halted:
-        result.outcome = PacketOutcome::Dropped;
-        return result;
-      case StepEvent::Trapped:
-        result.outcome = PacketOutcome::Trapped;
-        result.trap = info.trap;
+  const StepInfo last =
+      core_.dispatch(sink, std::numeric_limits<std::uint64_t>::max());
+  if (sink.attack) {
+    result.outcome = PacketOutcome::AttackDetected;
+    core_.reset();  // paper's recovery: reset stack, next packet
+    return result;
+  }
+  switch (last.event) {
+    case StepEvent::PacketOut:
+      result.outcome = PacketOutcome::Forwarded;
+      result.output = core_.output();
+      result.output_port = core_.output_port();
+      return result;
+    case StepEvent::PacketDone:
+      // A sentinel return must be sanctioned by the monitoring graph.
+      if (last.pc == kReturnSentinel && !monitor_->exit_allowed() &&
+          enforce_) {
+        result.outcome = PacketOutcome::AttackDetected;
         core_.reset();
         return result;
-    }
+      }
+      result.outcome = PacketOutcome::Dropped;
+      return result;
+    case StepEvent::Trapped:
+      result.outcome = PacketOutcome::Trapped;
+      result.trap = last.trap;
+      core_.reset();
+      return result;
+    case StepEvent::Halted:
+    case StepEvent::Executed:  // unreachable: no step limit
+      break;
   }
+  result.outcome = PacketOutcome::Dropped;
+  return result;
 }
 
 void MonitoredCore::commit_result(const PacketResult& result) {

@@ -34,7 +34,7 @@ struct PacketResult {
   /// at execute time so the observability layer can histogram it on the
   /// deterministic commit path (exact even across speculative rollback).
   std::uint32_t monitor_width = 0;
-  /// Trace-tier telemetry: exec_trace dispatches this packet took, and
+  /// Trace telemetry: exec_trace dispatches this packet took, and
   /// how many of them ended in a side exit (branch resolved off the
   /// predicted path). Feeds np.engine.trace_side_exit_rate on the
   /// deterministic commit path.

@@ -35,12 +35,8 @@ std::unique_ptr<EngineObs> EngineObs::create(obs::Registry& registry,
       &registry.gauge(obs::names::kEngineCompiledProgramBlocks);
   obs->compiled_program_bytes =
       &registry.gauge(obs::names::kEngineCompiledProgramBytes);
-  obs->block_fuse_ns = &registry.histogram(obs::names::kCoreBlockFuseNs,
-                                           obs::latency_ns_buckets());
-  obs->fused_runs = &registry.gauge(obs::names::kEngineFusedRuns);
-  obs->fused_ops = &registry.gauge(obs::names::kEngineFusedOps);
-  obs->trace_exec_ns = &registry.histogram(obs::names::kCoreTraceExecNs,
-                                           obs::latency_ns_buckets());
+  obs->trace_build_ns = &registry.histogram(obs::names::kCoreTraceBuildNs,
+                                            obs::latency_ns_buckets());
   obs->trace_count = &registry.gauge(obs::names::kEngineTraceCount);
   obs->trace_ops = &registry.gauge(obs::names::kEngineTraceOps);
   obs->trace_side_exit_rate =
@@ -112,10 +108,7 @@ void EngineObs::note_predecoded(const CompiledProgram& code) {
   compiled_blocks->set(static_cast<std::int64_t>(code.num_blocks()));
   compiled_program_bytes->set(
       static_cast<std::int64_t>(code.footprint_bytes()));
-  block_fuse_ns->record(code.fuse_build_ns());
-  fused_runs->set(static_cast<std::int64_t>(code.num_fused_runs()));
-  fused_ops->set(static_cast<std::int64_t>(code.num_fused_ops()));
-  trace_exec_ns->record(code.trace_build_ns());
+  trace_build_ns->record(code.trace_build_ns());
   trace_count->set(static_cast<std::int64_t>(code.num_traces()));
   trace_ops->set(static_cast<std::int64_t>(code.num_trace_ops()));
 }

@@ -6,23 +6,7 @@
 
 namespace sdmmon::np {
 
-namespace {
-
-/// Yield for a while, then sleep in short slices (same policy as
-/// util::SpscQueue's backoff; see the rationale there).
-struct Backoff {
-  int spins = 0;
-  void pause() {
-    if (++spins < 64) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-  void reset() { spins = 0; }
-};
-
-}  // namespace
+using util::Backoff;
 
 ParallelMpsoc::ParallelMpsoc(std::size_t num_cores, DispatchPolicy policy,
                              RecoveryConfig recovery, ParallelConfig parallel)
@@ -115,7 +99,7 @@ bool ParallelMpsoc::pop_work(std::size_t worker, std::uint64_t& seq) {
   return false;
 }
 
-void ParallelMpsoc::run_slot(Slot& slot) {
+RecoveryAction ParallelMpsoc::run_slot(Slot& slot) {
   MonitoredCore& core = cores_[slot.core];
   if (capture_spec_) core.begin_speculation();
   if (core.installed()) {
@@ -129,27 +113,32 @@ void ParallelMpsoc::run_slot(Slot& slot) {
     slot.spec_undo = core.end_speculation();
     slot.spec_captured = true;
   }
-  slot.action = recovery_.on_outcome_speculative(slot.core,
-                                                 slot.result.outcome,
-                                                 slot.outcome_undo);
+  const RecoveryAction action = recovery_.on_outcome_speculative(
+      slot.core, slot.result.outcome, slot.outcome_undo);
+  slot.action = action;
   slot.window_violations = recovery_.window_violations(slot.core);
+  // Publishing hands the slot to the folders: it may be retired and
+  // re-planned for seq + rob_size at once, so nothing reads it after.
   slot.state.store(SlotState::Executed, std::memory_order_release);
+  return action;
 }
 
 void ParallelMpsoc::execute_slot(std::uint64_t seq) {
   Slot& slot = rob_[seq % rob_size_];
+  // run_slot() publishes the slot; read what is needed after it first.
+  const std::uint64_t ticket = slot.ticket;
   std::atomic<std::uint64_t>& turn = core_turn_[slot.core];
   // Wait for this core's turn. The predecessor ticket was pushed to the
   // same shard deque earlier (FIFO), so it has been popped by a worker
   // that runs it to completion -- this wait always terminates, which is
   // also why workers may only park at the loop top, never mid-item.
   Backoff backoff;
-  while (turn.load(std::memory_order_acquire) != slot.ticket) {
+  while (turn.load(std::memory_order_acquire) != ticket) {
     backoff.pause();
   }
-  run_slot(slot);
-  turn.store(slot.ticket + 1, std::memory_order_release);
-  if (slot.action != RecoveryAction::None) {
+  const RecoveryAction action = run_slot(slot);
+  turn.store(ticket + 1, std::memory_order_release);
+  if (action != RecoveryAction::None) {
     epoch_requested_.store(true, std::memory_order_release);
   }
 }
@@ -411,9 +400,11 @@ void ParallelMpsoc::run_epoch() {
     Slot& slot = rob_[pending[i] % rob_size_];
     assert(core_turn_[slot.core].load(std::memory_order_relaxed) ==
            slot.ticket);
-    run_slot(slot);
+    // Both locks are held: no folder or planner can touch the slot
+    // after run_slot() publishes it.
+    const RecoveryAction action = run_slot(slot);
     core_turn_[slot.core].store(slot.ticket + 1, std::memory_order_relaxed);
-    if (slot.action != RecoveryAction::None) {
+    if (action != RecoveryAction::None) {
       act = pending[i];
       break;
     }

@@ -228,8 +228,10 @@ class ParallelMpsoc {
   bool pop_work(std::size_t worker, std::uint64_t& seq);
   void execute_slot(std::uint64_t seq);
   /// Speculative execution + outcome evaluation for one planned slot;
-  /// requires the caller to hold the slot's core turn.
-  void run_slot(Slot& slot);
+  /// requires the caller to hold the slot's core turn. Publishes the
+  /// slot as Executed and returns its recovery action, so callers need
+  /// not read the slot again.
+  RecoveryAction run_slot(Slot& slot);
   /// Plan dispatch for the slot at `seq` (requires plan_mutex_). Returns
   /// true when the packet was dispatched (and must be enqueued).
   bool plan_dispatch(Slot& slot);

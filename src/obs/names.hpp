@@ -21,8 +21,7 @@ inline constexpr const char* kCoreInstrPerPacket =
     "np.core.instr_per_packet";
 inline constexpr const char* kCoreNdfaWidth = "np.core.ndfa_width";
 inline constexpr const char* kCorePredecodeNs = "np.core.predecode_ns";
-inline constexpr const char* kCoreBlockFuseNs = "np.core.block_fuse_ns";
-inline constexpr const char* kCoreTraceExecNs = "np.core.trace_exec_ns";
+inline constexpr const char* kCoreTraceBuildNs = "np.core.trace_build_ns";
 
 // ---- execution engines (serial Mpsoc and ParallelMpsoc) ----
 inline constexpr const char* kEngineDispatched = "np.engine.dispatched";
@@ -46,8 +45,6 @@ inline constexpr const char* kEngineCompiledProgramBlocks =
     "np.engine.compiled_program_blocks";
 inline constexpr const char* kEngineCompiledProgramBytes =
     "np.engine.compiled_program_bytes";
-inline constexpr const char* kEngineFusedRuns = "np.engine.fused_runs";
-inline constexpr const char* kEngineFusedOps = "np.engine.fused_ops";
 inline constexpr const char* kEngineTraceCount = "np.engine.trace_count";
 inline constexpr const char* kEngineTraceOps = "np.engine.trace_ops";
 inline constexpr const char* kEngineTraceSideExitRate =

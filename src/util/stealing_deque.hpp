@@ -26,6 +26,22 @@
 
 namespace sdmmon::util {
 
+/// Wait policy for the engine's spin loops: yield for a while, then
+/// sleep in short slices. Batch-granular callers (the MPSoC engine moves
+/// hundreds of packets per wakeup) never notice the worst-case ~50 us
+/// wakeup latency, and idle threads cost ~no CPU.
+struct Backoff {
+  int spins = 0;
+  void pause() {
+    if (++spins < 64) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+  void reset() { spins = 0; }
+};
+
 template <typename T>
 class StealingDeque {
  public:
@@ -99,19 +115,6 @@ class StealingDeque {
   struct Slot {
     std::atomic<std::size_t> seq{0};
     T value{};
-  };
-
-  /// Yield for a while, then sleep in short slices (same policy as
-  /// SpscQueue::Backoff; see the rationale there).
-  struct Backoff {
-    int spins = 0;
-    void pause() {
-      if (++spins < 64) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
-    }
   };
 
   std::vector<Slot> slots_;

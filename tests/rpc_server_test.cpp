@@ -467,7 +467,13 @@ TEST(RpcServer, JournalStreamingSeesEventsInOrder) {
     if (e.kind == obs::EventKind::Install) ++installs;
     if (e.kind == obs::EventKind::RpcSessionOpened) ++opens;
   }
+#if SDMMON_OBS_ENABLED
+  // The engine journals its Install events only when observability is
+  // compiled in; the rpc layer's own session events are always there.
   EXPECT_GE(installs, 3u);
+#else
+  EXPECT_EQ(installs, 0u);
+#endif
   EXPECT_GE(opens, 1u);
   // And match the registry's own view of history.
   EXPECT_EQ(cursor, world.registry.journal().recorded());
