@@ -527,6 +527,11 @@ Core::TraceExec Core::exec_trace(std::uint64_t n) {
   const CompiledProgram::TraceOp* op = begin;
   const CompiledProgram::TraceOp* const end = begin + n;
   std::uint32_t* const regs = regs_.data();
+  // Locals, so the loop does not reload them after every opaque
+  // memory call.
+  Memory& mem = mem_;
+  const std::uint32_t text_base = pre_base_;
+  const std::uint32_t text_bytes = pre_text_bytes_;
   std::uint32_t hi = hi_;
   std::uint32_t lo = lo_;
   BodyTally body;
@@ -544,7 +549,7 @@ Core::TraceExec Core::exec_trace(std::uint64_t n) {
   while (op != end) {
     const Instr& in = op->instr;
     const Effect effect =
-        exec_body(in, regs, hi, lo, mem_, pre_base_, pre_text_bytes_, body);
+        exec_body(in, regs, hi, lo, mem, text_base, text_bytes, body);
     if (effect == Effect::Retired) {
       ++op;
       continue;
