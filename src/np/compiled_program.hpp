@@ -48,7 +48,9 @@
 // the leader's own block anchors the matching *suffix* of that trace
 // (per-pc trace_len_/trace_off_ entries pointing into the same ops), so
 // a mid-block resume -- the op after an MMIO stop, a jr into a block
-// interior -- re-enters compiled code without copying any ops.
+// interior -- re-enters compiled code without copying any ops. A pc the
+// 255-op cap left uncovered (a block longer than the cap) starts a
+// fresh trace of its own.
 #ifndef SDMMON_NP_COMPILED_PROGRAM_HPP
 #define SDMMON_NP_COMPILED_PROGRAM_HPP
 
